@@ -294,34 +294,13 @@ var benchDistModes = []struct {
 	{"table", core.DistTableOn},
 }
 
-// benchPsiModes is the PsiStore axis of the sampler benchmarks: the
-// city-major map reference vs the venue-major store (the default).
-var benchPsiModes = []struct {
-	name string
-	mode core.PsiStoreMode
-}{
-	{"map", core.PsiStoreOff},
-	{"venue", core.PsiStoreOn},
-}
-
-// benchDrawModes is the FusedDraw axis: the reference fill +
-// Categorical path vs the fused prefix-sum pipeline (the default).
-var benchDrawModes = []struct {
-	name string
-	mode core.FusedDrawMode
-}{
-	{"scan", core.FusedDrawOff},
-	{"fused", core.FusedDrawOn},
-}
-
 // BenchmarkGibbsSweep measures raw sampler throughput: relationships
-// resampled per second on the bench world, across the full execution
-// matrix — per-variable vs blocked edge kernel, exact vs distance-table
-// d^α, city-major map vs venue-major ψ̂ counts, sequential vs partitioned
-// parallel sweep. The table/exact ratio on one kernel is the
-// distance-table speedup, the venue/map ratio is the ψ̂-store speedup on
-// the tweet phase, and the blocked/exact leg at the default
-// MaxCandidates=40 is the O(|cand|²) wall the ROADMAP called unusable.
+// resampled per second on the bench world, across the execution matrix —
+// per-variable vs blocked edge kernel, exact vs distance-table d^α,
+// sequential vs partitioned parallel sweep. The table/exact ratio on one
+// kernel is the distance-table speedup, and the blocked/exact leg at the
+// default MaxCandidates=40 is the O(|cand|²) wall the ROADMAP called
+// unusable.
 func BenchmarkGibbsSweep(b *testing.B) {
 	d, test := ablationSetup(b)
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
@@ -335,29 +314,23 @@ func BenchmarkGibbsSweep(b *testing.B) {
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
 		for _, dist := range benchDistModes {
-			for _, psi := range benchPsiModes {
-				for _, draw := range benchDrawModes {
-					for _, workers := range workerCounts {
-						name := fmt.Sprintf("kernel=%s/dist=%s/psi=%s/draw=%s/workers=%d", kernel.name, dist.name, psi.name, draw.name, workers)
-						b.Run(name, func(b *testing.B) {
-							// 8 sweeps per fit and a reduced init pair sample,
-							// so the op measures sweep throughput rather than
-							// the per-fit setup; cmd/mlpbench separates the two
-							// exactly.
-							const sweeps = 8
-							for i := 0; i < b.N; i++ {
-								cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1,
-									EMPairSample: 20000, Workers: workers,
-									BlockedSampler: kernel.blocked, DistTable: dist.mode, PsiStore: psi.mode,
-									FusedDraw: draw.mode}
-								if _, err := core.Fit(c, cfg); err != nil {
-									b.Fatal(err)
-								}
-							}
-							b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
-						})
+			for _, workers := range workerCounts {
+				name := fmt.Sprintf("kernel=%s/dist=%s/workers=%d", kernel.name, dist.name, workers)
+				b.Run(name, func(b *testing.B) {
+					// 8 sweeps per fit and a reduced init pair sample, so
+					// the op measures sweep throughput rather than the
+					// per-fit setup; cmd/mlpbench separates the two exactly.
+					const sweeps = 8
+					for i := 0; i < b.N; i++ {
+						cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1,
+							EMPairSample: 20000, Workers: workers,
+							BlockedSampler: kernel.blocked, DistTable: dist.mode}
+						if _, err := core.Fit(c, cfg); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
+					b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
+				})
 			}
 		}
 	}
@@ -393,28 +366,21 @@ func benchEdgeKernel(b *testing.B, mode core.DistTableMode) {
 func BenchmarkEdgeKernelExact(b *testing.B) { benchEdgeKernel(b, core.DistTableOff) }
 func BenchmarkEdgeKernelTable(b *testing.B) { benchEdgeKernel(b, core.DistTableOn) }
 
-// benchTweetKernel isolates the tweet kernel the same way: a
+// BenchmarkTweetKernel isolates the tweet kernel the same way: a
 // TweetingOnly fit has no edge phase, so a sweep is exactly one pass of
-// updateTweet over the corpus — the path the ψ̂ store accelerates.
-func benchTweetKernel(b *testing.B, mode core.PsiStoreMode) {
+// updateTweet over the corpus.
+func BenchmarkTweetKernel(b *testing.B) {
 	d, test := ablationSetup(b)
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
 	const sweeps = 8
 	for i := 0; i < b.N; i++ {
-		cfg := core.Config{Seed: 9, Variant: core.TweetingOnly, Iterations: sweeps,
-			NoiseBurnIn: 1, PsiStore: mode}
+		cfg := core.Config{Seed: 9, Variant: core.TweetingOnly, Iterations: sweeps, NoiseBurnIn: 1}
 		if _, err := core.Fit(c, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(c.Tweets)*sweeps*b.N)/b.Elapsed().Seconds(), "tweet-updates/s")
 }
-
-// BenchmarkTweetKernelMap / BenchmarkTweetKernelVenue are the
-// regression-guard pair for the ψ̂-store work: their ratio is the
-// tweet-phase speedup of the venue-major layout.
-func BenchmarkTweetKernelMap(b *testing.B)   { benchTweetKernel(b, core.PsiStoreOff) }
-func BenchmarkTweetKernelVenue(b *testing.B) { benchTweetKernel(b, core.PsiStoreOn) }
 
 // BenchmarkFitWorkers runs a full multi-sweep fit (noise mixture and
 // Gibbs-EM on) at both worker counts — the end-to-end wall-clock number

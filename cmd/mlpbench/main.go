@@ -1,7 +1,6 @@
 // Command mlpbench runs the sampler benchmark matrix — edge kernel ×
-// distance mode × ψ̂-store mode × draw pipeline × worker count, plus a
-// batch/layout ablation block and the shard axis — on a synthetic world
-// and writes the results as JSON, so the performance trajectory is
+// distance mode × worker count, plus the shard axis — on a synthetic
+// world and writes the results as JSON, so the performance trajectory is
 // tracked as a checked-in artifact from PR to PR instead of scrollback.
 //
 // Every cell also records a per-phase breakdown (edge / tweet / fold /
@@ -27,14 +26,15 @@
 //
 // -compare loads a previously written report and prints the per-config
 // sweep-time deltas (matched by cell name; cells present on only one
-// side are flagged). It never fails the run — the CI leg that invokes it
-// is informational, keeping the perf trajectory visible on every PR
+// side are flagged), warning when the two runs saw different core
+// counts. It never fails the run — the CI leg that invokes it is
+// informational, keeping the perf trajectory visible on every PR
 // without making noisy runners a gate.
 //
 // -trend skips benchmarking entirely: it loads the report files given as
-// positional arguments (oldest first) and prints each cell's sweep-time
-// trajectory across all of them — the multi-run view -compare's pairwise
-// diff cannot give.
+// positional arguments, orders them by generation time, and prints each
+// cell's sweep-time trajectory across all of them — the multi-run view
+// -compare's pairwise diff cannot give.
 package main
 
 import (
@@ -46,7 +46,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"mlprofile/internal/core"
@@ -59,10 +58,6 @@ type Result struct {
 	Name         string             `json:"name"`
 	Kernel       string             `json:"kernel"`
 	Dist         string             `json:"dist"`
-	Psi          string             `json:"psi"`
-	Draw         string             `json:"draw"`
-	Batch        string             `json:"batch,omitempty"`
-	Layout       string             `json:"layout,omitempty"`
 	Workers      int                `json:"workers"`
 	Shards       int                `json:"shards,omitempty"`
 	Stale        bool               `json:"stale,omitempty"`
@@ -76,6 +71,7 @@ type Result struct {
 type Report struct {
 	Generated  string   `json:"generated"`
 	GoVersion  string   `json:"go_version"`
+	NProc      int      `json:"nproc"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Users      int      `json:"users"`
 	Locations  int      `json:"locations"`
@@ -106,7 +102,7 @@ func main() {
 
 	if *trend {
 		if flag.NArg() < 2 {
-			log.Fatal("-trend needs at least two report files (oldest first)")
+			log.Fatal("-trend needs at least two report files")
 		}
 		if err := printTrend(flag.Args()); err != nil {
 			log.Fatal(err)
@@ -145,6 +141,7 @@ func main() {
 	rep := Report{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
+		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Users:      *users,
 		Locations:  *locations,
@@ -163,86 +160,38 @@ func main() {
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
 		for _, dist := range []core.DistTableMode{core.DistTableOff, core.DistTableOn} {
-			for _, psi := range []core.PsiStoreMode{core.PsiStoreOff, core.PsiStoreOn} {
-				for _, draw := range []core.FusedDrawMode{core.FusedDrawOff, core.FusedDrawOn} {
-					for _, workers := range workerCounts {
-						cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
-							BlockedSampler: kernel.blocked, DistTable: dist, PsiStore: psi, FusedDraw: draw}
-						initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-						r := Result{
-							Name: fmt.Sprintf("kernel=%s/dist=%s/psi=%s/draw=%s/batch=%s/layout=%s/workers=%d",
-								kernel.name, dist, psi, draw, cfg.TweetBatch, cfg.Layout, workers),
-							Kernel:       kernel.name,
-							Dist:         dist.String(),
-							Psi:          psi.String(),
-							Draw:         draw.String(),
-							Batch:        cfg.TweetBatch.String(),
-							Layout:       cfg.Layout.String(),
-							Workers:      workers,
-							InitSeconds:  initS,
-							SweepSeconds: perSweep,
-							RelsPerSec:   float64(rels) / perSweep,
-							PhaseSeconds: phases,
-						}
-						rep.Results = append(rep.Results, r)
-						logCell(&r)
-					}
+			for _, workers := range workerCounts {
+				cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
+					BlockedSampler: kernel.blocked, DistTable: dist}
+				initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
+				r := Result{
+					Name:         fmt.Sprintf("kernel=%s/dist=%s/workers=%d", kernel.name, dist, workers),
+					Kernel:       kernel.name,
+					Dist:         dist.String(),
+					Workers:      workers,
+					InitSeconds:  initS,
+					SweepSeconds: perSweep,
+					RelsPerSec:   float64(rels) / perSweep,
+					PhaseSeconds: phases,
 				}
+				rep.Results = append(rep.Results, r)
+				logCell(&r)
 			}
 		}
 	}
 
-	// Batch/layout ablation: the matrix above runs the round-4 levers at
-	// their defaults (batch=author, layout=flat), so these cells turn
-	// each lever off at the fast-path corner — the win each one buys
-	// stays visible run over run instead of only in the PR that landed
-	// it.
-	for _, bl := range []struct {
-		batch  core.TweetBatchMode
-		layout core.LayoutMode
-	}{
-		{core.TweetBatchOff, core.LayoutOff},
-		{core.TweetBatchOn, core.LayoutOff},
-		{core.TweetBatchOff, core.LayoutOn},
-	} {
-		for _, workers := range workerCounts {
-			cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
-				DistTable: core.DistTableOn, PsiStore: core.PsiStoreOn, FusedDraw: core.FusedDrawOn,
-				TweetBatch: bl.batch, Layout: bl.layout}
-			initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-			r := Result{
-				Name: fmt.Sprintf("kernel=pervar/dist=table/psi=venue/draw=fused/batch=%s/layout=%s/workers=%d",
-					bl.batch, bl.layout, workers),
-				Kernel:       "pervar",
-				Dist:         core.DistTableOn.String(),
-				Psi:          core.PsiStoreOn.String(),
-				Draw:         core.FusedDrawOn.String(),
-				Batch:        bl.batch.String(),
-				Layout:       bl.layout.String(),
-				Workers:      workers,
-				InitSeconds:  initS,
-				SweepSeconds: perSweep,
-				RelsPerSec:   float64(rels) / perSweep,
-				PhaseSeconds: phases,
-			}
-			rep.Results = append(rep.Results, r)
-			logCell(&r)
-		}
-	}
-
-	// Shard axis: the sharded pipeline at the default fast-path modes,
-	// across shard counts, plus the stale boundary protocol at the
-	// widest count. Shards=1 is by construction the single-chain sampler
-	// already measured above, so the axis starts at 2.
+	// Shard axis: the sharded pipeline with the distance table on, across
+	// shard counts, plus the stale boundary protocol at the widest count.
+	// Shards=1 is by construction the single-chain sampler already
+	// measured above, so the axis starts at 2.
 	for _, sc := range []struct {
 		shards int
 		stale  bool
 	}{{2, false}, {4, false}, {4, true}} {
 		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: sc.shards, StaleBoundary: sc.stale,
-			DistTable: core.DistTableOn, PsiStore: core.PsiStoreOn, FusedDraw: core.FusedDrawOn}
+			DistTable: core.DistTableOn}
 		initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-		name := fmt.Sprintf("kernel=pervar/dist=table/psi=venue/draw=fused/batch=%s/layout=%s/shards=%d",
-			cfg.TweetBatch, cfg.Layout, sc.shards)
+		name := fmt.Sprintf("kernel=pervar/dist=table/shards=%d", sc.shards)
 		if sc.stale {
 			name += "/stale"
 		}
@@ -250,10 +199,6 @@ func main() {
 			Name:         name,
 			Kernel:       "pervar",
 			Dist:         core.DistTableOn.String(),
-			Psi:          core.PsiStoreOn.String(),
-			Draw:         core.FusedDrawOn.String(),
-			Batch:        cfg.TweetBatch.String(),
-			Layout:       cfg.Layout.String(),
 			Shards:       sc.shards,
 			Stale:        sc.stale,
 			InitSeconds:  initS,
@@ -365,7 +310,7 @@ func logCell(r *Result) {
 	if detail != "" {
 		detail = "  [" + detail[1:] + "]"
 	}
-	log.Printf("%-78s sweep %8.2fms  %10.0f rels/s%s", r.Name, r.SweepSeconds*1e3, r.RelsPerSec, detail)
+	log.Printf("%-40s sweep %8.2fms  %10.0f rels/s%s", r.Name, r.SweepSeconds*1e3, r.RelsPerSec, detail)
 }
 
 // median returns the middle value (lower middle for even counts) without
@@ -409,6 +354,13 @@ func compareReports(path string, fresh *Report) {
 			old.Users, old.Locations, old.Edges, old.Tweets,
 			fresh.Users, fresh.Locations, fresh.Edges, fresh.Tweets)
 	}
+	// Workers and Shards cells measure speedup only when the cores are
+	// there; a run on a different core count (or one from before nproc
+	// was recorded, read as 0) is not comparable cell for cell.
+	if old.NProc != fresh.NProc || old.GOMAXPROCS != fresh.GOMAXPROCS {
+		log.Printf("compare: cores differ (old nproc=%d gomaxprocs=%d vs new nproc=%d gomaxprocs=%d) — deltas are indicative only",
+			old.NProc, old.GOMAXPROCS, fresh.NProc, fresh.GOMAXPROCS)
+	}
 	oldByName := make(map[string]Result, len(old.Results))
 	for _, r := range old.Results {
 		oldByName[r.Name] = r
@@ -416,61 +368,39 @@ func compareReports(path string, fresh *Report) {
 	log.Printf("compare vs %s (generated %s, %s):", path, old.Generated, old.GoVersion)
 	for _, r := range fresh.Results {
 		o, ok := oldByName[r.Name]
-		note := ""
-		if ok {
-			delete(oldByName, r.Name)
-		}
 		if !ok {
-			// A report from before the batch/layout axis carries this
-			// cell under its shorter pre-axis name (only default-corner
-			// cells embed batch=author/layout=flat, so ablation cells
-			// never false-match). That run had no batching or interleaved
-			// layout; the fresh default cell continues its trajectory.
-			legacy := strings.Replace(r.Name, "/batch=author/layout=flat", "", 1)
-			if legacy != r.Name {
-				if o, ok = oldByName[legacy]; ok {
-					delete(oldByName, legacy)
-					note = "  (vs pre-batch-axis default)"
-				}
-			}
-		}
-		if !ok && r.Draw == "fused" {
-			// Two axes back: a report from before the draw axis carries
-			// the cell under the still-shorter form. That run's draw
-			// pipeline was the then-default; the fresh default-config
-			// trajectory continues there (labeled, since the two sides
-			// ran different draw code).
-			legacy := fmt.Sprintf("kernel=%s/dist=%s/psi=%s/workers=%d", r.Kernel, r.Dist, r.Psi, r.Workers)
-			if o, ok = oldByName[legacy]; ok {
-				delete(oldByName, legacy)
-				note = "  (vs pre-draw-axis default)"
-			}
-		}
-		if !ok {
-			log.Printf("  %-60s %8.2fms  (new cell)", r.Name, r.SweepSeconds*1e3)
+			log.Printf("  %-40s %8.2fms  (new cell)", r.Name, r.SweepSeconds*1e3)
 			continue
 		}
-		log.Printf("  %-60s %8.2fms -> %8.2fms  (%+.1f%%, %0.2fx)%s",
+		delete(oldByName, r.Name)
+		log.Printf("  %-40s %8.2fms -> %8.2fms  (%+.1f%%, %0.2fx)",
 			r.Name, o.SweepSeconds*1e3, r.SweepSeconds*1e3,
 			100*(r.SweepSeconds-o.SweepSeconds)/o.SweepSeconds,
-			o.SweepSeconds/r.SweepSeconds, note)
+			o.SweepSeconds/r.SweepSeconds)
 	}
 	for name, o := range oldByName {
-		log.Printf("  %-60s %8.2fms  (cell gone from matrix)", name, o.SweepSeconds*1e3)
+		log.Printf("  %-40s %8.2fms  (cell gone from matrix)", name, o.SweepSeconds*1e3)
 	}
 }
 
-// printTrend loads the given reports (oldest first) and prints every
-// cell's sweep-time trajectory across all of them.
+// printTrend loads the given reports and prints every cell's sweep-time
+// trajectory across all of them, oldest run first.
 func printTrend(paths []string) error {
-	reps := make([]*Report, 0, len(paths))
+	type run struct {
+		path string
+		*Report
+	}
+	reps := make([]run, 0, len(paths))
 	for _, p := range paths {
 		r, err := loadReport(p)
 		if err != nil {
 			return err
 		}
-		reps = append(reps, r)
+		reps = append(reps, run{p, r})
 	}
+	// Whatever the argument order (a shell glob sorts by file name), the
+	// RFC 3339 UTC stamps sort chronologically as strings.
+	sort.SliceStable(reps, func(i, j int) bool { return reps[i].Generated < reps[j].Generated })
 	// Cells in first-appearance order across the run sequence, so cells
 	// added by a new matrix axis list after the long-lived ones.
 	var order []string
@@ -485,7 +415,7 @@ func printTrend(paths []string) error {
 	}
 	log.Printf("trend across %d runs:", len(reps))
 	for i, r := range reps {
-		log.Printf("  run %d: %s (generated %s, %s)", i+1, paths[i], r.Generated, r.GoVersion)
+		log.Printf("  run %d: %s (generated %s, %s, nproc=%d gomaxprocs=%d)", i+1, r.path, r.Generated, r.GoVersion, r.NProc, r.GOMAXPROCS)
 	}
 	for _, name := range order {
 		line := fmt.Sprintf("  %-60s", name)

@@ -36,11 +36,6 @@ func main() {
 		stale     = flag.Bool("staleboundary", false, "resample shard-boundary edges against stale per-sweep snapshots (shards > 1 only)")
 		noEM      = flag.Bool("no-em", false, "disable Gibbs-EM refinement")
 		dtable    = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
-		pstore    = flag.Bool("psistore", true, "store collapsed venue counts venue-major (false = city-major maps, the reference layout)")
-		fdraw     = flag.Bool("fuseddraw", true, "draw with the fused prefix-sum pipeline (false = reference fill + Categorical path)")
-		tbatch    = flag.Bool("tweetbatch", true, "batch tweet draws per author with incremental repair (false = reference per-draw gather)")
-		layout    = flag.Bool("interleave", true, "interleave per-user sampler state into contiguous slabs (false = per-user allocations)")
-		sbins     = flag.Bool("sparsebins", true, "above the dense pair-matrix ceiling, serve d^alpha from sparse per-city bin rows (false = per-lookup quantization)")
 	)
 	flag.Parse()
 
@@ -56,11 +51,6 @@ func main() {
 		StaleBoundary:  *stale,
 		DisableGibbsEM: *noEM,
 		DistTable:      core.DistTableFor(*dtable),
-		PsiStore:       core.PsiStoreFor(*pstore),
-		FusedDraw:      core.FusedDrawFor(*fdraw),
-		TweetBatch:     core.TweetBatchFor(*tbatch),
-		Layout:         core.LayoutFor(*layout),
-		SparseBins:     core.SparseBinsFor(*sbins),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -36,11 +36,6 @@ func main() {
 		em      = flag.Bool("em", true, "refine (alpha, beta) with Gibbs-EM")
 		workers = flag.Int("workers", 0, "Gibbs sweep goroutines (0 = GOMAXPROCS; 1 = exact sequential sampler)")
 		dtable  = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
-		pstore  = flag.Bool("psistore", true, "store collapsed venue counts venue-major (false = city-major maps, the reference layout)")
-		fdraw   = flag.Bool("fuseddraw", true, "draw with the fused prefix-sum pipeline (false = reference fill + Categorical path)")
-		tbatch  = flag.Bool("tweetbatch", true, "batch tweet draws per author with incremental repair (false = reference per-draw gather)")
-		layout  = flag.Bool("interleave", true, "interleave per-user sampler state into contiguous slabs (false = per-user allocations)")
-		sbins   = flag.Bool("sparsebins", true, "above the dense pair-matrix ceiling, serve d^alpha from sparse per-city bin rows (false = per-lookup quantization)")
 		snap    = flag.String("snapshot", "", "also write a fitted-model snapshot here for mlpserve (a directory when -shards > 1)")
 		shards  = flag.Int("shards", 1, "user shards for the sharded Gibbs pipeline (1 = single-chain exact sampler)")
 		stale   = flag.Bool("staleboundary", false, "resample boundary edges against stale per-sweep snapshots instead of the synced barrier (shards > 1 only)")
@@ -83,11 +78,6 @@ func main() {
 		StaleBoundary: *stale,
 		GibbsEM:       *em,
 		DistTable:     core.DistTableFor(*dtable),
-		PsiStore:      core.PsiStoreFor(*pstore),
-		FusedDraw:     core.FusedDrawFor(*fdraw),
-		TweetBatch:    core.TweetBatchFor(*tbatch),
-		Layout:        core.LayoutFor(*layout),
-		SparseBins:    core.SparseBinsFor(*sbins),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -97,19 +87,10 @@ func main() {
 	fmt.Printf("fitted %s in %d iterations: alpha=%.3f beta=%.5f noise(edges)=%.3f noise(tweets)=%.3f\n",
 		v, m.Iterations(), alpha, beta, en, tn)
 	if active, dense := m.DistTableStatus(); active && !dense {
-		if m.DistTableSparseBins() {
-			log.Printf("distance table: gazetteer exceeds the %d-city dense pair-matrix ceiling; serving d^alpha from sparse per-city bin rows (lazily built, budget-capped, same draws)", core.MaxDensePairCities)
-		} else {
-			log.Printf("distance table: gazetteer exceeds the %d-city dense pair-matrix ceiling; serving d^alpha from per-lookup quantization (slower, same draws)", core.MaxDensePairCities)
-		}
-	}
-	batch := "none"
-	if m.TweetBatchActive() {
-		batch = "author"
+		log.Printf("distance table: gazetteer exceeds the %d-city dense pair-matrix ceiling; serving d^alpha from sparse per-city bin rows (lazily built, budget-capped, same draws)", core.MaxDensePairCities)
 	}
 	st := m.TweetBatchStats()
-	fmt.Printf("hot path: batch=%s layout=%s (batch fills=%d reuses=%d repairs=%d)\n",
-		batch, core.LayoutFor(*layout), st.Built, st.Hits, st.Repairs)
+	fmt.Printf("tweet batch: fills=%d reuses=%d repairs=%d\n", st.Built, st.Hits, st.Repairs)
 
 	if *snap != "" {
 		save := m.SaveSnapshot

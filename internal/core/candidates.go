@@ -155,9 +155,7 @@ func buildCandidates(c *dataset.Corpus, cfg Config, useF, useT bool) *candidateS
 		cs.gamma[u] = g
 		cs.gammaSum[u] = sum
 	}
-	if cfg.Layout != LayoutOff {
-		cs.interleave()
-	}
+	cs.interleave()
 	return cs
 }
 
@@ -165,11 +163,10 @@ func buildCandidates(c *dataset.Corpus, cfg Config, useF, useT bool) *candidateS
 // contiguous slabs in user order — the order the sweeps walk them — so
 // the fill kernels' gather and prefix-sum loops stream stride-1 memory
 // (the interleaved layout of DESIGN.md §14). Purely a relocation done
-// once at build time: values, lengths and draw order are untouched, so
-// every fingerprint is bit-identical across the knob. Full-capacity
-// re-slices keep any future append from clobbering a neighbor row. The
-// AllLocationCandidates path skips this (its rows already share one
-// allocation per kind).
+// once at build time: values, lengths and draw order are untouched.
+// Full-capacity re-slices keep any future append from clobbering a
+// neighbor row. The AllLocationCandidates path skips this (its rows
+// already share one allocation per kind).
 func (cs *candidateSet) interleave() {
 	total := 0
 	for _, c := range cs.cand {

@@ -59,204 +59,6 @@ func (d DistTableMode) String() string {
 	}
 }
 
-// PsiStoreMode selects the storage layout of the collapsed venue counts
-// φ_{l,v} behind the tweet kernel's ψ̂ factor (see DESIGN.md §8).
-type PsiStoreMode int
-
-const (
-	// PsiStoreAuto defers to the default, which is PsiStoreOn.
-	PsiStoreAuto PsiStoreMode = iota
-	// PsiStoreOn stores the counts venue-major: one compact open-addressed
-	// (city, count) row per venue, gathered once per tweet update instead
-	// of probed once per candidate. Counts are gathered, not approximated,
-	// so this path is bit-identical to the map path (the golden matrix
-	// asserts identical fingerprints).
-	PsiStoreOn
-	// PsiStoreOff keeps the city-major Go-map layout: the original
-	// reference path the venue-major store is tested against.
-	PsiStoreOff
-)
-
-// PsiStoreFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func PsiStoreFor(on bool) PsiStoreMode {
-	if on {
-		return PsiStoreOn
-	}
-	return PsiStoreOff
-}
-
-// String names the mode for logs and bench labels.
-func (p PsiStoreMode) String() string {
-	switch p {
-	case PsiStoreOff:
-		return "map"
-	default:
-		return "venue"
-	}
-}
-
-// FusedDrawMode selects how the update kernels perform their categorical
-// draws (see DESIGN.md §9).
-type FusedDrawMode int
-
-const (
-	// FusedDrawAuto defers to the default, which is FusedDrawOn.
-	FusedDrawAuto FusedDrawMode = iota
-	// FusedDrawOn runs the fused single-pass draw pipeline: the weight
-	// loops emit running prefix sums and a single-uniform inversion
-	// (randutil.InvertCum) replaces Categorical's sum-and-scan. The fused
-	// path consumes randomness draw-for-draw identically to the reference
-	// and accumulates in the same order; its hoisted ψ̂ reciprocal and
-	// ϕ+γ mirror perturb tweet weights at the ulp scale (DESIGN.md §9),
-	// which flips no draw on the golden matrix (locked bit-identical
-	// there) and is equivalence-locked in general.
-	FusedDrawOn
-	// FusedDrawOff keeps the reference three-pass path: raw weight fill
-	// followed by randutil.Categorical, untouched from before the fused
-	// pipeline landed.
-	FusedDrawOff
-)
-
-// FusedDrawFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func FusedDrawFor(on bool) FusedDrawMode {
-	if on {
-		return FusedDrawOn
-	}
-	return FusedDrawOff
-}
-
-// String names the mode for logs and bench labels.
-func (f FusedDrawMode) String() string {
-	switch f {
-	case FusedDrawOff:
-		return "scan"
-	default:
-		return "fused"
-	}
-}
-
-// TweetBatchMode selects whether the fused tweet kernel batches its
-// fills across consecutive tweets of one author (see DESIGN.md §14).
-type TweetBatchMode int
-
-const (
-	// TweetBatchAuto defers to the default, which is TweetBatchOn.
-	TweetBatchAuto TweetBatchMode = iota
-	// TweetBatchOn runs the per-author batched tweet kernel: consecutive
-	// tweets of one author share an identical candidate set, so the ψ̂
-	// gather is built once per (author, venue) and repaired incrementally
-	// when a drawn venue/city mutates a gathered count, the Eq. 6/9
-	// exclusion is applied per draw on top of the cached values, and the
-	// ν-step's θ̂ division is amortized through a per-author reciprocal.
-	// Every value fed to a draw is recomputed from the same operands the
-	// unbatched kernel reads, so fits are bit-identical on the golden
-	// matrix and identity-locked in general. Active only where the fused
-	// venue-major tweet kernel runs (FusedDrawOn + PsiStoreOn); inert —
-	// not approximated — elsewhere.
-	TweetBatchOn
-	// TweetBatchOff runs the unbatched per-tweet kernel: the reference
-	// the batched path is fingerprint-locked against.
-	TweetBatchOff
-)
-
-// TweetBatchFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func TweetBatchFor(on bool) TweetBatchMode {
-	if on {
-		return TweetBatchOn
-	}
-	return TweetBatchOff
-}
-
-// String names the mode for logs and bench labels.
-func (b TweetBatchMode) String() string {
-	switch b {
-	case TweetBatchOff:
-		return "none"
-	default:
-		return "author"
-	}
-}
-
-// LayoutMode selects the memory layout of the per-user sampler state
-// (see DESIGN.md §14).
-type LayoutMode int
-
-const (
-	// LayoutAuto defers to the default, which is LayoutOn.
-	LayoutAuto LayoutMode = iota
-	// LayoutOn lays the per-user candidate, γ, ϕ and ϕ+γ-mirror rows out
-	// in contiguous per-array slabs (structure-of-arrays, one allocation
-	// per array), so the fill loops' prefix-sum chains and gathers walk
-	// stride-1 memory and corpus-order sweeps stay cache-resident across
-	// users. Values, lengths and iteration order are identical to the
-	// split layout — only addresses change — so fits are bit-identical
-	// across the knob.
-	LayoutOn
-	// LayoutOff keeps the original per-user split allocations.
-	LayoutOff
-)
-
-// LayoutFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func LayoutFor(on bool) LayoutMode {
-	if on {
-		return LayoutOn
-	}
-	return LayoutOff
-}
-
-// String names the mode for logs and bench labels.
-func (l LayoutMode) String() string {
-	switch l {
-	case LayoutOff:
-		return "split"
-	default:
-		return "flat"
-	}
-}
-
-// SparseBinsMode selects how the distance table serves gazetteers beyond
-// MaxDensePairCities (see DESIGN.md §14).
-type SparseBinsMode int
-
-const (
-	// SparseBinsAuto defers to the default, which is SparseBinsOn.
-	SparseBinsAuto SparseBinsMode = iota
-	// SparseBinsOn serves d^α above the dense pair-matrix ceiling from
-	// per-city compact bin rows built lazily for the cities the live
-	// candidate sets actually pair (bounded, cached in the gazetteer-keyed
-	// level cache), so dist=table stays active at any gazetteer size. Row
-	// values are the same exp(α·quantized-log) the per-lookup fallback
-	// computes, so fits are bit-identical across the knob.
-	SparseBinsOn
-	// SparseBinsOff keeps the per-lookup quantization fallback above the
-	// ceiling: the reference the sparse rows are fingerprint-locked
-	// against.
-	SparseBinsOff
-)
-
-// SparseBinsFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func SparseBinsFor(on bool) SparseBinsMode {
-	if on {
-		return SparseBinsOn
-	}
-	return SparseBinsOff
-}
-
-// String names the mode for logs and bench labels.
-func (s SparseBinsMode) String() string {
-	switch s {
-	case SparseBinsOff:
-		return "lookup"
-	default:
-		return "rows"
-	}
-}
-
 // Variant selects which observation types the model consumes.
 type Variant int
 
@@ -318,7 +120,7 @@ type Config struct {
 	// order against the remote endpoint's sweep-start ϕ snapshot, with
 	// remote-side writes deferred to the barrier. Trades the synced
 	// boundary phase's extra barrier for staleness that is bounded by
-	// one sweep; equivalence-locked the way DistTable/PsiStore were.
+	// one sweep; deterministic and golden-pinned like the synced protocol.
 	// Ignored when Shards<=1; the blocked kernel always syncs.
 	StaleBoundary bool
 
@@ -374,55 +176,14 @@ type Config struct {
 	// at the default MaxCandidates.
 	BlockedSampler bool
 
-	// DistTable selects the distance-amortization fast path (default
-	// DistTableOn): d^α served from a quantized log-distance table that
-	// is memoized per α-epoch, plus per-edge static weight caches for the
-	// blocked kernel. DistTableOff is the exact reference path. The two
-	// paths consume randomness identically and agree on predictions
-	// within quantization tolerance (equivalence_test.go).
+	// DistTable is the sampler's only path selector. It turns on the
+	// distance-amortization fast path (default DistTableOn): d^α served
+	// from a quantized log-distance table that is memoized per α-epoch,
+	// plus per-edge static weight caches for the blocked kernel.
+	// DistTableOff is the exact reference path. The two paths consume
+	// randomness identically and agree on predictions within
+	// quantization tolerance (equivalence_test.go).
 	DistTable DistTableMode
-
-	// PsiStore selects the collapsed venue-count layout (default
-	// PsiStoreOn): venue-major open-addressed rows gathered once per tweet
-	// update, versus the city-major map reference (PsiStoreOff). The two
-	// layouts hold identical counts and share the ψ̂ smoothing, so fits are
-	// bit-identical across the knob (determinism_test.go's golden matrix).
-	PsiStore PsiStoreMode
-
-	// FusedDraw selects the categorical draw pipeline (default
-	// FusedDrawOn): every kernel's weight loop writes running prefix sums
-	// and inverts one uniform over them in a single fused pass, versus
-	// the reference fill + randutil.Categorical (FusedDrawOff). The two
-	// paths accumulate in the same order and consume randomness
-	// identically; the fused tweet fills' hoisted reciprocal deviates by
-	// ≤2 ulp per weight, so fits are bit-identical on the golden matrix
-	// (determinism_test.go) and ≥99%-top-1/α-tolerance equivalent in
-	// general (equivalence_test.go).
-	FusedDraw FusedDrawMode
-
-	// TweetBatch selects the per-author batched tweet kernel (default
-	// TweetBatchOn): ψ̂ gathers cached per (author, venue) across an
-	// author's consecutive tweets and repaired per draw, versus the
-	// unbatched per-tweet fill (TweetBatchOff). Batched fills feed draws
-	// the same values, so fits are bit-identical across the knob. Only
-	// engages where the fused venue-major kernel runs (FusedDrawOn +
-	// PsiStoreOn); inert elsewhere.
-	TweetBatch TweetBatchMode
-
-	// Layout selects the per-user state layout (default LayoutOn):
-	// contiguous structure-of-arrays slabs for candidates, γ, ϕ and the
-	// ϕ+γ mirror, versus per-user split allocations (LayoutOff).
-	// Addresses change, values don't; fits are bit-identical across the
-	// knob.
-	Layout LayoutMode
-
-	// SparseBins selects the distance table's behavior above
-	// MaxDensePairCities (default SparseBinsOn): lazily built per-city
-	// compact bin rows keep dist=table active at any gazetteer size,
-	// versus the per-lookup quantization fallback (SparseBinsOff). Both
-	// serve the same quantized values; fits are bit-identical across the
-	// knob. No effect at or below the ceiling.
-	SparseBins SparseBinsMode
 
 	// DisableNoiseMixture forces every relationship location-based
 	// (ρ_f = ρ_t = 0) — the ablation of the paper's first mixture level.
@@ -482,21 +243,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DistTable == DistTableAuto {
 		c.DistTable = DistTableOn
-	}
-	if c.PsiStore == PsiStoreAuto {
-		c.PsiStore = PsiStoreOn
-	}
-	if c.FusedDraw == FusedDrawAuto {
-		c.FusedDraw = FusedDrawOn
-	}
-	if c.TweetBatch == TweetBatchAuto {
-		c.TweetBatch = TweetBatchOn
-	}
-	if c.Layout == LayoutAuto {
-		c.Layout = LayoutOn
-	}
-	if c.SparseBins == SparseBinsAuto {
-		c.SparseBins = SparseBinsOn
 	}
 	if c.DisableNoiseMixture {
 		c.RhoF, c.RhoT = 0, 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mlprofile/internal/dataset"
@@ -35,35 +36,99 @@ func skipIfShort(t *testing.T) {
 	}
 }
 
-// checkVenueInvariants asserts the collapsed venue-count invariants on a
-// fitted model, independent of the active PsiStore layout: every count
-// positive, per-city counts summing to venueSum[l], and the grand total
-// equal to the number of location-based (ν=0) tweets.
-func checkVenueInvariants(t *testing.T, m *Model) {
+// checkInvariants asserts the collapsed-count bookkeeping of a fitted
+// model between sweeps:
+//
+//   - every ϕ row is non-negative and sums to phiSum, which equals the
+//     user's counted (µ = 0 / ν = 0) assignments;
+//   - every venue-store row entry is positive, the entries sum to
+//     venueSum[l] per city, and the grand total equals the number of
+//     ν = 0 tweets;
+//   - venueRSum[l] is exactly 1/(venueSum[l]+δ|V|);
+//   - the ϕ+γ mirror pg is within 1e-9 (relative) of ϕ+γ;
+//   - every worker and shard overlay is empty.
+func checkInvariants(t *testing.T, m *Model) {
 	t.Helper()
-	locTweets := 0
-	for _, b := range m.nu {
-		if !b {
-			locTweets++
-		}
-	}
-	counts := m.venueCountsByCity()
-	var venueTotal float64
-	for l := range m.venueSum {
-		venueTotal += m.venueSum[l]
-		var s float64
-		for _, v := range counts[l] {
-			if v <= 0 {
-				t.Fatalf("location %d: non-positive venue count %f", l, v)
+	c := m.corpus
+	expect := make([]float64, len(c.Users))
+	if m.useF {
+		for s, e := range c.Edges {
+			if !m.mu[s] {
+				expect[e.From]++
+				expect[e.To]++
 			}
-			s += v
-		}
-		if math.Abs(s-m.venueSum[l]) > 1e-6 {
-			t.Fatalf("location %d: venue counts sum %f != %f", l, s, m.venueSum[l])
 		}
 	}
-	if math.Abs(venueTotal-float64(locTweets)) > 1e-6 {
-		t.Fatalf("venue total %f != location-based tweets %d", venueTotal, locTweets)
+	locTweets := 0
+	if m.useT {
+		for k, tw := range c.Tweets {
+			if !m.nu[k] {
+				expect[tw.User]++
+				locTweets++
+			}
+		}
+	}
+	for u := range c.Users {
+		if m.phiSum[u] != expect[u] {
+			t.Fatalf("user %d: phiSum=%v want %v", u, m.phiSum[u], expect[u])
+		}
+		var sum float64
+		for i, v := range m.phi[u] {
+			if v < 0 {
+				t.Fatalf("user %d: negative count %v", u, v)
+			}
+			sum += v
+			want := v + m.cands.gamma[u][i]
+			if math.Abs(m.pg[u][i]-want) > 1e-9*want {
+				t.Fatalf("user %d candidate %d: pg=%v, ϕ+γ=%v", u, i, m.pg[u][i], want)
+			}
+		}
+		if math.Abs(sum-m.phiSum[u]) > 1e-6 {
+			t.Fatalf("user %d: phi sums to %v, phiSum=%v", u, sum, m.phiSum[u])
+		}
+	}
+
+	byCity := make([]float64, len(m.venueSum))
+	var total float64
+	for v := range m.ps.rows {
+		r := &m.ps.rows[v]
+		for i, l := range r.cities {
+			if r.vals[i] <= 0 {
+				t.Fatalf("venue %d city %d: non-positive count %v", v, l, r.vals[i])
+			}
+			byCity[l] += r.vals[i]
+			total += r.vals[i]
+		}
+	}
+	for l, s := range m.venueSum {
+		if byCity[l] != s {
+			t.Fatalf("city %d: venue counts sum to %v, venueSum=%v", l, byCity[l], s)
+		}
+		if want := 1 / (s + m.deltaTotal); m.venueRSum[l] != want {
+			t.Fatalf("city %d: venueRSum=%v, want %v", l, m.venueRSum[l], want)
+		}
+	}
+	if total != float64(locTweets) {
+		t.Fatalf("venue total %v != location-based tweets %d", total, locTweets)
+	}
+
+	for _, ctx := range slices.Concat(m.parCtxs, m.shCtxs) {
+		if len(ctx.ovlVenues) != 0 || len(ctx.ovlCities) != 0 || len(ctx.stale) != 0 {
+			t.Fatalf("overlay not drained between sweeps: %d venues, %d cities, %d stale ops",
+				len(ctx.ovlVenues), len(ctx.ovlCities), len(ctx.stale))
+		}
+		for l, d := range ctx.ovlSum {
+			if d != 0 {
+				t.Fatalf("overlay city %d holds delta %v between sweeps", l, d)
+			}
+		}
+		if ctx.ovl != nil {
+			for v := range ctx.ovl.rows {
+				if r := &ctx.ovl.rows[v]; r.live() != 0 || r.touched {
+					t.Fatalf("overlay row %d not reset between sweeps", v)
+				}
+			}
+		}
 	}
 }
 
@@ -130,63 +195,25 @@ func TestVariantString(t *testing.T) {
 func TestCountInvariants(t *testing.T) {
 	d := testWorld(t, 2)
 	m, _ := fitFold(t, d, Config{Seed: 5, Iterations: 6})
-	c := &d.Corpus
-
-	// Expected ϕ_i totals: one assignment per edge endpoint plus one per
-	// tweet, minus the relationships currently routed to the noise models
-	// (whose assignments are phantom and do not count).
-	expect := make([]float64, len(c.Users))
-	for s, e := range c.Edges {
-		if !m.mu[s] {
-			expect[e.From]++
-			expect[e.To]++
-		}
-	}
-	for k, tr := range c.Tweets {
-		if !m.nu[k] {
-			expect[tr.User]++
-		}
-	}
-	for u := range c.Users {
-		if m.phiSum[u] != expect[u] {
-			t.Fatalf("user %d: phiSum=%f want %f", u, m.phiSum[u], expect[u])
-		}
-		var sum float64
-		for _, v := range m.phi[u] {
-			if v < 0 {
-				t.Fatalf("user %d: negative count %f", u, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-m.phiSum[u]) > 1e-6 {
-			t.Fatalf("user %d: phi sums to %f, phiSum=%f", u, sum, m.phiSum[u])
-		}
-	}
-
-	// Venue counts: per-city sums and the ν=0 total, under the fitted
-	// store layout (the default venue-major store here; the map layout is
-	// covered by TestCountInvariantsBothStores).
-	checkVenueInvariants(t, m)
+	checkInvariants(t, m)
 }
 
-// TestCountInvariantsBothStores runs the venue bookkeeping invariants
-// explicitly under each PsiStore layout, sequential and parallel — the
-// post-sweep check that venueSum[l] equals the sum of row counts no
-// matter which structure accumulated them.
+// TestCountInvariantsBothStores runs the invariants after every sweep,
+// sequential and parallel. Under Workers=4 the venue counts pass through
+// both stores — the per-worker overlays and the shared venue-major rows
+// they fold into — so the check also covers the fold and the overlays'
+// reset.
 func TestCountInvariantsBothStores(t *testing.T) {
 	d := testWorld(t, 2)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"venue/workers=1", Config{Seed: 5, Iterations: 6, PsiStore: PsiStoreOn}},
-		{"map/workers=1", Config{Seed: 5, Iterations: 6, PsiStore: PsiStoreOff}},
-		{"venue/workers=4", Config{Seed: 5, Iterations: 6, Workers: 4, PsiStore: PsiStoreOn}},
-		{"map/workers=4", Config{Seed: 5, Iterations: 6, Workers: 4, PsiStore: PsiStoreOff}},
-	} {
+		name    string
+		workers int
+	}{{"venue/workers=1", 1}, {"venue/workers=4", 4}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, _ := fitFold(t, d, tc.cfg)
-			checkVenueInvariants(t, m)
+			cfg := Config{Seed: 5, Iterations: 6, Workers: tc.workers}
+			cfg.OnIteration = func(_ int, m *Model) { checkInvariants(t, m) }
+			m, _ := fitFold(t, d, cfg)
+			checkInvariants(t, m)
 		})
 	}
 }
@@ -432,18 +459,7 @@ func TestBlockedSamplerAgrees(t *testing.T) {
 		t.Errorf("samplers disagree: seq=%.3f blocked=%.3f", accSeq, accBlk)
 	}
 	// Blocked sampler must preserve count invariants too.
-	for u := range d.Corpus.Users {
-		var sum float64
-		for _, v := range blk.phi[u] {
-			if v < 0 {
-				t.Fatalf("user %d: negative count under blocked sampler", u)
-			}
-			sum += v
-		}
-		if math.Abs(sum-blk.phiSum[u]) > 1e-6 {
-			t.Fatalf("user %d: blocked sampler corrupted counts", u)
-		}
-	}
+	checkInvariants(t, blk)
 }
 
 // TestNoiseMixtureAblation: disabling the mixture forces every selector to

@@ -108,66 +108,36 @@ var goldenMatrix = []struct {
 	{"workers=4/table", 4, DistTableOn, 0x41becc5c7b68d6e1},
 }
 
-// goldenPsiModes is the PsiStore axis of the golden matrix. Unlike the
-// distance table — equal here only because no draw happens to flip —
-// the venue-major store owes exact equality *structurally*: counts are
-// gathered, never approximated, and the ψ̂ smoothing is shared, so both
-// layouts must reproduce the identical fingerprint in every mode. A
-// psi=venue divergence with an intact psi=map fingerprint means the
-// store (or its parallel overlay/fold) corrupted a count.
-var goldenPsiModes = []struct {
-	name string
-	psi  PsiStoreMode
-}{
-	{"psi=map", PsiStoreOff},
-	{"psi=venue", PsiStoreOn},
-}
+// goldenChainName suffixes every golden cell name with the venue-count
+// store and draw pipeline the chain runs: the venue-major store and the
+// fused draw, the only ones the sampler has. Cell names therefore stay
+// the ones logged while the map store and the scan draw were axes of
+// the matrix.
+const goldenChainName = "/psi=venue/draw=fused"
 
-// goldenDrawModes is the FusedDraw axis. draw=scan is the reference
-// three-pass fill + Categorical path, which must keep reproducing the
-// frozen fingerprints byte for byte. draw=fused accumulates the same
-// weight terms in the same order and consumes the RNG draw-for-draw
-// identically, so its draws match the scan path exactly except for the
-// tweet fills' hoisted reciprocal ψ̂ (≤2 ulp per weight, DESIGN.md §9)
-// — which, like the distance table's quantization, flips no draw on the
-// golden world, so every fused cell must reproduce the same
-// fingerprint. A fused divergence with an intact scan fingerprint means
-// the fused pipeline drifted (RNG consumption, accumulation order, or
-// an inversion-boundary bug), not that the golden is stale.
-var goldenDrawModes = []struct {
-	name string
-	draw FusedDrawMode
-}{
-	{"draw=scan", FusedDrawOff},
-	{"draw=fused", FusedDrawOn},
-}
-
+// TestGoldenFingerprintMatrix fits every golden-matrix cell and checks
+// the count invariants after every sweep on the way.
 func TestGoldenFingerprintMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				t.Run(g.name+"/"+p.name+"/"+f.name, func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.Workers = g.workers
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fitFingerprint(m)
-					t.Logf("fingerprint: %#x", got)
-					if got != g.fingerprint {
-						t.Errorf("%s/%s/%s fingerprint %#x differs from golden %#x", g.name, p.name, f.name, got, g.fingerprint)
-					}
-				})
+		t.Run(g.name+goldenChainName, func(t *testing.T) {
+			cfg := goldenCfg()
+			cfg.Workers = g.workers
+			cfg.DistTable = g.dist
+			cfg.OnIteration = func(_ int, m *Model) { checkInvariants(t, m) }
+			m, err := Fit(&d.Corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			got := fitFingerprint(m)
+			t.Logf("fingerprint: %#x", got)
+			if got != g.fingerprint {
+				t.Errorf("%s fingerprint %#x differs from golden %#x", g.name, got, g.fingerprint)
+			}
+		})
 	}
 }
 
@@ -193,25 +163,19 @@ func TestGoldenMatrixBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range goldenBlocked {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				t.Run(g.name+"/"+p.name+"/"+f.name, func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.BlockedSampler = true
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fitFingerprint(m)
-					t.Logf("fingerprint: %#x", got)
-					if got != g.fingerprint {
-						t.Errorf("%s/%s/%s fingerprint %#x differs from golden %#x", g.name, p.name, f.name, got, g.fingerprint)
-					}
-				})
+		t.Run(g.name+goldenChainName, func(t *testing.T) {
+			cfg := goldenCfg()
+			cfg.BlockedSampler = true
+			cfg.DistTable = g.dist
+			m, err := Fit(&d.Corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			got := fitFingerprint(m)
+			t.Logf("fingerprint: %#x", got)
+			if got != g.fingerprint {
+				t.Errorf("%s fingerprint %#x differs from golden %#x", g.name, got, g.fingerprint)
+			}
+		})
 	}
 }

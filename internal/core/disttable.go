@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"mlprofile/internal/gazetteer"
-	"mlprofile/internal/randutil"
 )
 
 // This file implements the two-level distance-amortization subsystem
@@ -25,9 +24,8 @@ import (
 //   is precomputed once per fit and the hot path reduces to two array
 //   loads. Larger gazetteers serve row-walking kernels from sparse
 //   per-city pow rows built lazily for the cities live candidate sets
-//   actually pair (Config.SparseBins, see below and DESIGN.md §14);
-//   with SparseBins off they fall back to quantizing per lookup, which
-//   keeps the semantics (and the per-edge caches) without any matrix.
+//   actually pair (see below and DESIGN.md §14), and single lookups by
+//   quantizing per lookup — the same values without any matrix.
 //
 // Everything the table serves is draw-for-draw aligned with the exact
 // path: the kernels consume the RNG in the same order with the same
@@ -64,8 +62,7 @@ const (
 	// maxDensePairCities caps the dense L×L pair-bin matrix: 2048 cities
 	// hold 2048²×4B = 16 MiB and cost ~2M haversines (a few hundred ms,
 	// paid once per fit) to fill. Beyond that, row-walking kernels are
-	// served from sparse per-city pow rows (SparseBinsOn, the default) or
-	// per-lookup quantization (SparseBinsOff).
+	// served from sparse per-city pow rows.
 	maxDensePairCities = 2048
 
 	// sparsePowBudgetBytes bounds the sparse pow-row cache per distTable
@@ -84,23 +81,13 @@ const MaxDensePairCities = maxDensePairCities
 // DistTableStatus reports the distance-amortization state of a fitted
 // model: whether the quantized table is active at all, and whether it is
 // backed by the dense pair-bin matrix. Above MaxDensePairCities the
-// table stays active without the dense matrix — on sparse per-city pow
-// rows (the default; DistTableSparseBins reports true) or on per-lookup
-// quantization (SparseBinsOff). Callers scaling corpora up should
-// surface which of the two engaged rather than let the slower path run
-// silently.
+// table stays active without the dense matrix, served from sparse
+// per-city pow rows (mlptrain logs when a fit crosses the ceiling).
 func (m *Model) DistTableStatus() (active, dense bool) {
 	if m.dt == nil {
 		return false, false
 	}
 	return true, m.dt.pb != nil && m.dt.pb.pairBin != nil
-}
-
-// DistTableSparseBins reports whether the table serves row-walking
-// kernels from the sparse per-city pow rows — the above-the-ceiling mode
-// of Config.SparseBins.
-func (m *Model) DistTableSparseBins() bool {
-	return m.dt != nil && m.dt.sparse
 }
 
 // pairBins is the immutable pair→bin level for one gazetteer: the dense
@@ -251,14 +238,13 @@ type distTable struct {
 	// compare against it to invalidate their static values.
 	epoch uint32
 
-	// Sparse mode (L > maxDensePairCities, Config.SparseBins on):
+	// Sparse mode (L > maxDensePairCities; spRows is nil otherwise):
 	// spRows[a].pow[b] = exp(alpha·quantLog(logMiles(a, b))) for the
 	// row's stamped α-epoch — bit-identical to both the dense powTab
-	// load and the per-lookup fallback, so every representation yields
+	// load and the single-lookup pow, so every representation yields
 	// the same draws. Bounded FIFO; rows from a stale α-epoch rebuild
 	// in place on their next walk. Guarded by spMu for the concurrent
 	// sweep workers (setAlpha itself only runs between sweeps).
-	sparse  bool
 	spMu    sync.RWMutex
 	spRows  map[int32]*sparsePowRow // guarded by spMu
 	spOrder []int32                 // guarded by spMu
@@ -277,13 +263,10 @@ type sparsePowRow struct {
 
 // powRow returns city a's full pow row in sparse mode, building it (or
 // refreshing it after an α-epoch move) lazily from the shared quantized
-// -log level; nil when the table is not sparse. The read path is an
-// RLock; builds double-check under the write lock so concurrent walkers
-// of one new city share a single L-exp pass.
+// -log level. Row-walking kernels call it exactly where row(a) is nil.
+// The read path is an RLock; builds double-check under the write lock
+// so concurrent walkers of one new city share a single L-exp pass.
 func (t *distTable) powRow(a gazetteer.CityID) []float64 {
-	if !t.sparse {
-		return nil
-	}
 	t.spMu.RLock()
 	if r, ok := t.spRows[int32(a)]; ok && r.epoch == t.epoch {
 		// Read the row fields under the lock: a concurrent stale-row
@@ -330,15 +313,12 @@ func newDistTable(dc *distCalc, L int) *distTable {
 }
 
 // distTableFor is the fit-time constructor: identical semantics to
-// newDistTable, with the pair-bin level served from pairBinCache.
-// sparse selects the above-the-ceiling mode: per-city pow rows (true)
-// or per-lookup quantization (false); it is a no-op at or below the
-// dense ceiling, where the matrix always wins.
-func distTableFor(dc *distCalc, g *gazetteer.Gazetteer, sparse bool) *distTable {
+// newDistTable, with the pair-bin level served from pairBinCache, plus
+// the sparse pow-row level above the dense ceiling.
+func distTableFor(dc *distCalc, g *gazetteer.Gazetteer) *distTable {
 	L := g.Len()
 	t := &distTable{dc: dc, L: L, pb: pairBinsFor(dc, g, L)}
-	if L > maxDensePairCities && sparse {
-		t.sparse = true
+	if L > maxDensePairCities {
 		//mlp:allow lockcheck construction: t has not escaped to any worker yet
 		t.spRows = make(map[int32]*sparsePowRow)
 		t.spCap = max(16, sparsePowBudgetBytes/(L*8))
@@ -355,7 +335,7 @@ func binOfLog(lm float64) int64 {
 }
 
 // quantLog is the quantized log-distance itself (the representative of
-// lm's bin) — what the fallback path feeds exp directly.
+// lm's bin) — what single lookups above the dense ceiling feed exp.
 func quantLog(lm float64) float64 {
 	return float64(binOfLog(lm)) * logBinWidth
 }
@@ -378,7 +358,7 @@ func (t *distTable) setAlpha(alpha float64) {
 
 // pow returns the memoized d(a,b)^α for the current α-epoch: two array
 // loads in dense mode, a quantized exact evaluation above the ceiling.
-// Single lookups stay on the quantized evaluation even in sparse mode —
+// Single lookups stay on the quantized evaluation in sparse mode —
 // materializing an L-wide pow row for one probe would cost more than it
 // saves; row-walking kernels go through powRow instead.
 func (t *distTable) pow(a, b gazetteer.CityID) float64 {
@@ -418,19 +398,9 @@ func (m *Model) pow(a, b gazetteer.CityID) float64 {
 // of a row sum touches only candidates with non-zero profile counts, so
 // the per-sweep setup is O(nI + nJ + nI·kJ) with kJ = |supp ϕ_J| instead
 // of the exact kernel's O(nI·nJ) pow calls.
-//
-// alias is a Walker table over the fully static W0 pair distribution
-// γ_I[i]·γ_J[j]·d^α, built on demand (drawStaticPair) for the same
-// α-epoch. It yields O(1) pair draws but costs two uniforms per draw
-// where the exact kernel spends one, so the coupled sampler cannot use
-// it (see DESIGN.md §7); it serves uncoupled callers and the kernel
-// micro-benchmarks as the draw-cost floor.
 type edgeCache struct {
 	epoch uint32
 	gRow  []float64
-
-	aliasEpoch uint32
-	alias      *randutil.Alias
 }
 
 // edgeCacheFor returns edge s's cache, rebuilding its static row sums if
@@ -452,61 +422,14 @@ func (m *Model) edgeCacheFor(s int, candI, candJ []gazetteer.CityID, gammaJ []fl
 			for j, cj := range candJ {
 				sum += gammaJ[j] * pt[row[cj]]
 			}
-		} else if prow := m.dt.powRow(ci); prow != nil {
+		} else {
+			prow := m.dt.powRow(ci)
 			for j, cj := range candJ {
 				sum += gammaJ[j] * prow[cj]
-			}
-		} else {
-			for j, cj := range candJ {
-				sum += gammaJ[j] * m.dt.pow(ci, cj)
 			}
 		}
 		ec.gRow[i] = sum
 	}
 	ec.epoch = m.dt.epoch
 	return ec
-}
-
-// drawStaticPair draws a candidate pair (i, j) from the static W0
-// distribution γ_I[i]·γ_J[j]·d(candI[i], candJ[j])^α in O(1) via the
-// edge's Walker alias table, building the table on first use per
-// α-epoch. ok is false when the static weights are degenerate (possible
-// only if α or γ went NaN — the alias table cannot be built, and no
-// draw is made). Not used by the coupled sampler (its two-uniform draw
-// would desynchronize the chain from the exact path); exposed for
-// uncoupled consumers and the draw-cost micro-benchmarks.
-func (m *Model) drawStaticPair(ctx *sweepCtx, s int) (i, j int, ok bool) {
-	e := m.corpus.Edges[s]
-	candI := m.cands.cand[e.From]
-	candJ := m.cands.cand[e.To]
-	ec := &m.etab[s]
-	if ec.alias == nil || ec.aliasEpoch != m.dt.epoch {
-		gI := m.cands.gamma[e.From]
-		gJ := m.cands.gamma[e.To]
-		nJ := len(candJ)
-		w := make([]float64, len(candI)*nJ)
-		for i, ci := range candI {
-			row := m.dt.row(ci)
-			prow := m.dt.powRow(ci)
-			for j, cj := range candJ {
-				var p float64
-				if row != nil {
-					p = m.dt.powTab[row[cj]]
-				} else if prow != nil {
-					p = prow[cj]
-				} else {
-					p = m.dt.pow(ci, cj)
-				}
-				w[i*nJ+j] = gI[i] * gJ[j] * p
-			}
-		}
-		a, err := randutil.NewAlias(w)
-		if err != nil {
-			return 0, 0, false
-		}
-		ec.alias = a
-		ec.aliasEpoch = m.dt.epoch
-	}
-	p := ec.alias.Draw(ctx.rng)
-	return p / len(candJ), p % len(candJ), true
 }

@@ -111,9 +111,9 @@ func TestDistTableMatchesExactWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestDistTableFallbackAgreesWithDense: above maxDensePairCities the
-// table falls back to quantizing per lookup; the fallback must produce
-// bit-identical values to the dense matrix (same bins, same reps).
+// TestDistTableFallbackAgreesWithDense: above maxDensePairCities single
+// lookups quantize per lookup; that path must produce bit-identical
+// values to the dense matrix (same bins, same reps).
 func TestDistTableFallbackAgreesWithDense(t *testing.T) {
 	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 50, NumLocations: 120})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestDistTableFallbackAgreesWithDense(t *testing.T) {
 	dc := newDistCalc(d.Corpus.Gaz)
 	L := d.Corpus.Gaz.Len()
 	dense := newDistTable(dc, L)
-	fallback := &distTable{dc: dc, L: L} // as built when L > maxDensePairCities
+	fallback := &distTable{dc: dc, L: L} // no dense matrix, as above maxDensePairCities
 	dense.setAlpha(-0.7)
 	fallback.setAlpha(-0.7)
 	for a := 0; a < L; a++ {
@@ -252,82 +252,6 @@ func TestDistTableAlphaEpochInvalidation(t *testing.T) {
 	if got := m.dt.pow(a, b); got != want {
 		t.Errorf("pow after refit %v, want %v", got, want)
 	}
-}
-
-// TestDrawStaticPairAlias: the Walker table over the static W0 branch
-// must draw pairs with the static prior-pair distribution (checked on
-// the mode pair's empirical frequency) and in O(1) per draw.
-func TestDrawStaticPairAlias(t *testing.T) {
-	d, err := synth.Generate(synth.Config{Seed: 17, NumUsers: 120, NumLocations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 1, BlockedSampler: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := 0
-	e := m.corpus.Edges[s]
-	candI, candJ := m.cands.cand[e.From], m.cands.cand[e.To]
-	gI, gJ := m.cands.gamma[e.From], m.cands.gamma[e.To]
-
-	// Static W0 weights, ground truth.
-	var total, best float64
-	bi, bj := 0, 0
-	for i := range candI {
-		for j := range candJ {
-			w := gI[i] * gJ[j] * m.dt.pow(candI[i], candJ[j])
-			total += w
-			if w > best {
-				best, bi, bj = w, i, j
-			}
-		}
-	}
-
-	const draws = 20000
-	hits := 0
-	for n := 0; n < draws; n++ {
-		i, j, ok := m.drawStaticPair(m.seq, s)
-		if !ok {
-			t.Fatal("alias build failed on non-degenerate weights")
-		}
-		if i < 0 || i >= len(candI) || j < 0 || j >= len(candJ) {
-			t.Fatalf("draw out of range: (%d, %d)", i, j)
-		}
-		if i == bi && j == bj {
-			hits++
-		}
-	}
-	got := float64(hits) / draws
-	want := best / total
-	t.Logf("mode pair frequency: empirical %.4f vs static weight %.4f", got, want)
-	if math.Abs(got-want) > 0.1*want+0.01 {
-		t.Errorf("alias draw frequency %.4f far from static weight %.4f", got, want)
-	}
-}
-
-// BenchmarkStaticPairDraw measures the O(1) alias draw of the static W0
-// branch — the draw-cost floor the coupled kernel's cumulative-row
-// inversion is compared against in DESIGN.md §7.
-func BenchmarkStaticPairDraw(b *testing.B) {
-	d, err := synth.Generate(synth.Config{Seed: 17, NumUsers: 300, NumLocations: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 1, BlockedSampler: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink int
-	for n := 0; n < b.N; n++ {
-		i, j, ok := m.drawStaticPair(m.seq, n%len(m.corpus.Edges))
-		if !ok {
-			b.Fatal("alias build failed")
-		}
-		sink += i + j
-	}
-	_ = sink
 }
 
 // BenchmarkEdgeCacheRebuild measures one α-epoch rebuild of a per-edge

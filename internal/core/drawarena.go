@@ -9,21 +9,20 @@ package core
 // class or tweet shard. All getters grow to capacity and re-slice, so
 // the hot path performs no per-relationship allocations after warm-up.
 //
-// Reference vs fused usage (DESIGN.md §9): the reference path fills
-// weights/pair/rowMass with raw values and hands them to
-// randutil.Categorical (or the hand-rolled hierarchical scan); the
-// fused path writes running prefix sums — into cum for the per-variable
-// and tweet kernels, into pair in place for the exact blocked kernel's
-// joint draw, and into rowCum beside the raw rowMass for the
-// blocked-table kernel's row inversion (the raw masses stay live for
-// the within-row residual).
+// Every draw inverts one uniform over running prefix sums (DESIGN.md
+// §9): cum holds them for the per-variable and tweet kernels, pair for
+// the exact blocked kernel's joint draw, and rowCum — beside the raw
+// rowMass, still needed for the within-row residual — for the
+// blocked-table kernel's row inversion. weights, wx and wy hold raw
+// weights for the callers that build them before a
+// randutil.FusedCategorical draw.
 type drawArena struct {
-	weights []float64 // raw per-candidate weights (reference path)
-	cum     []float64 // fused prefix sums of the same draws
+	weights []float64 // raw per-candidate weights (stale boundary kernel)
+	cum     []float64 // prefix sums of the per-candidate draws
 	wx, wy  []float64 // blocked kernels' endpoint weights (always raw)
-	pair    []float64 // exact blocked joint weights; fused: prefix sums in place
+	pair    []float64 // exact blocked kernel's joint prefix sums
 	rowMass []float64 // blocked-table raw per-row masses
-	rowCum  []float64 // fused prefix sums over rowMass
+	rowCum  []float64 // prefix sums over rowMass
 	supJ    []int32   // blocked-table friend-side support indices
 }
 
@@ -42,7 +41,7 @@ func (a *drawArena) buf(n int) []float64 {
 	return a.weights
 }
 
-// cumBuf returns the prefix-sum slice for one fused draw.
+// cumBuf returns the prefix-sum slice for one draw.
 func (a *drawArena) cumBuf(n int) []float64 {
 	a.cum = grow(a.cum, n)
 	return a.cum
@@ -69,8 +68,8 @@ func (a *drawArena) bufBlockedTable(nI, nJ int) (wx, wy, rowMass []float64, supJ
 	return a.wx, a.wy, a.rowMass, a.supJ[:nJ]
 }
 
-// rowCumBuf returns the fused row prefix-sum slice the blocked-table
-// kernel fills beside the raw row masses.
+// rowCumBuf returns the row prefix-sum slice the blocked-table kernel
+// fills beside the raw row masses.
 func (a *drawArena) rowCumBuf(n int) []float64 {
 	a.rowCum = grow(a.rowCum, n)
 	return a.rowCum

@@ -47,17 +47,24 @@ func equivWorlds() []struct {
 	}
 }
 
-// fitEquivPair runs the same fold/seed fit with the table off and on and
-// returns both models.
-func fitEquivPair(t *testing.T, wcfg synth.Config, cfg Config) (exact, table *Model, c *dataset.Corpus) {
+// heldOutCorpus generates the world and hides fold 0's labels: the
+// corpus every equivalence fit runs on.
+func heldOutCorpus(t *testing.T, wcfg synth.Config) *dataset.Corpus {
 	t.Helper()
 	d, err := synth.Generate(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	folds := dataset.KFold(len(d.Corpus.Users), 5, 99)
-	c = d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
+	return d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
+}
 
+// fitEquivPair runs the same fold/seed fit with the table off and on and
+// returns both models.
+func fitEquivPair(t *testing.T, wcfg synth.Config, cfg Config) (exact, table *Model, c *dataset.Corpus) {
+	t.Helper()
+	c = heldOutCorpus(t, wcfg)
+	var err error
 	cfg.DistTable = DistTableOff
 	exact, err = Fit(c, cfg)
 	if err != nil {
@@ -151,39 +158,27 @@ func TestDistTableEquivalenceParallel(t *testing.T) {
 	}
 }
 
-// fitFusedPair runs the same fold/seed fit with the fused draw pipeline
-// off and on and returns both models — the FusedDraw analogue of
-// fitEquivPair, with the distance table at its default in both fits.
-func fitFusedPair(t *testing.T, wcfg synth.Config, cfg Config) (scan, fused *Model, c *dataset.Corpus) {
-	t.Helper()
-	d, err := synth.Generate(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folds := dataset.KFold(len(d.Corpus.Users), 5, 99)
-	c = d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
-
-	cfg.FusedDraw = FusedDrawOff
-	scan, err = Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FusedDraw = FusedDrawOn
-	fused, err = Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scan, fused, c
+// fusedDrawPins are the fingerprints of the scan draw (raw weight fill,
+// then Categorical's sum and scan passes) on the equivalence worlds
+// under both edge kernels, captured while that path was still in the
+// tree. The fused draw reproduced every one bit for bit: it consumes
+// randomness draw for draw like the scan and accumulates in the same
+// order, and its one arithmetic deviation (the tweet fills' reciprocal
+// ψ̂, ≤2 ulp per weight) flips no draw on these worlds.
+var fusedDrawPins = map[string]uint64{
+	"per-variable/sparse-graph": 0x30d988233e13aa9a,
+	"per-variable/tweet-heavy":  0xb6733eea7dbcbf0f,
+	"per-variable/mixed":        0xb3106972a5b79bd4,
+	"blocked/sparse-graph":      0x0cd1103595d62841,
+	"blocked/tweet-heavy":       0x0a0bf76513cb1bc8,
+	"blocked/mixed":             0xff747c18d80cc9af,
 }
 
 // TestFusedDrawEquivalence is the FusedDraw leg of the equivalence
-// layer: fused-on vs fused-off fits with the same seed on every world
-// and both edge kernels. The fused pipeline consumes randomness
-// draw-for-draw identically and accumulates in the same order; its only
-// arithmetic deviation is the tweet fills' reciprocal ψ̂ (≤2 ulp per
-// weight), far inside the distance table's quantization tolerance — so
-// the same ≥99% top-1 and α bounds apply, and in practice the chains
-// stay bit-identical (the golden matrix pins that on the golden world).
+// layer: on every world and for both edge kernels, the fused draw must
+// reproduce the scan draw's fingerprint. A mismatch means the fused
+// pipeline drifted (RNG consumption, accumulation order, or an
+// inversion-boundary bug).
 func TestFusedDrawEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence property tests run full fits; skipped in -short")
@@ -193,7 +188,8 @@ func TestFusedDrawEquivalence(t *testing.T) {
 		blocked bool
 	}{{"per-variable", false}, {"blocked", true}} {
 		for _, w := range equivWorlds() {
-			t.Run(fmt.Sprintf("%s/%s", kernel.name, w.name), func(t *testing.T) {
+			name := kernel.name + "/" + w.name
+			t.Run(name, func(t *testing.T) {
 				cfg := Config{
 					Seed:           7,
 					Iterations:     12,
@@ -203,17 +199,14 @@ func TestFusedDrawEquivalence(t *testing.T) {
 					EMPairSample:   30000,
 					BlockedSampler: kernel.blocked,
 				}
-				scan, fused, c := fitFusedPair(t, w.cfg, cfg)
-
-				agree := top1Agreement(scan, fused, c)
-				aS, _ := scan.AlphaBeta()
-				aF, _ := fused.AlphaBeta()
-				t.Logf("top-1 agreement %.4f; alpha scan %.4f fused %.4f", agree, aS, aF)
-				if agree < equivAgreementMin {
-					t.Errorf("top-1 agreement %.4f < %.2f — fused chain decoupled from scan chain", agree, equivAgreementMin)
+				m, err := Fit(heldOutCorpus(t, w.cfg), cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if math.Abs(aS-aF) > equivAlphaTol {
-					t.Errorf("alpha diverged: scan %.4f vs fused %.4f (tol %.2f)", aS, aF, equivAlphaTol)
+				got := fitFingerprint(m)
+				t.Logf("fingerprint: %#x", got)
+				if want := fusedDrawPins[name]; got != want {
+					t.Errorf("fingerprint %#x differs from the scan draw's %#x", got, want)
 				}
 			})
 		}
@@ -224,18 +217,17 @@ func TestFusedDrawEquivalence(t *testing.T) {
 // equivalence: one small mixed world, per-variable kernel, plus a
 // Workers=4 repeat so the per-worker fused streams are covered.
 func TestFusedDrawEquivalenceSmoke(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := Config{Seed: 7, Iterations: 8, Workers: workers, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-		scan, fused, c := fitFusedPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
-		agree := top1Agreement(scan, fused, c)
-		aS, _ := scan.AlphaBeta()
-		aF, _ := fused.AlphaBeta()
-		t.Logf("workers=%d smoke top-1 agreement %.4f; alpha scan %.4f fused %.4f", workers, agree, aS, aF)
-		if agree < equivAgreementMin {
-			t.Errorf("workers=%d smoke top-1 agreement %.4f < %.2f", workers, agree, equivAgreementMin)
+	c := heldOutCorpus(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100})
+	for _, p := range []struct {
+		workers     int
+		fingerprint uint64
+	}{{1, 0x8ee079a01a2858a6}, {4, 0x78eb763dd2604715}} {
+		m, err := Fit(c, Config{Seed: 7, Iterations: 8, Workers: p.workers, GibbsEM: true, EMInterval: 4, EMPairSample: 20000})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(aS-aF) > equivAlphaTol {
-			t.Errorf("workers=%d smoke alpha diverged: scan %.4f vs fused %.4f", workers, aS, aF)
+		if got := fitFingerprint(m); got != p.fingerprint {
+			t.Errorf("workers=%d smoke fingerprint %#x differs from the scan draw's %#x", p.workers, got, p.fingerprint)
 		}
 	}
 }

@@ -1,0 +1,190 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mlprofile/internal/dataset"
+	"mlprofile/internal/gazetteer"
+	"mlprofile/internal/synth"
+)
+
+// Tests for the DESIGN.md §14 hot-path structures: the per-author
+// tweet-draw batch cache and the sparse per-city pow rows above the
+// dense pair-matrix ceiling. Each is pinned to the fingerprint the fit
+// had when the batch cache and the sparse rows still had bit-identical
+// reference paths (per-draw gathers, per-lookup quantization) to be
+// checked against.
+
+// longRunWorld has few authors with very long tweet runs: the world
+// that drives the tweet batch cache's repair edge.
+var longRunWorld = synth.Config{Seed: 107, NumUsers: 30, NumLocations: 80, MeanFriends: 4, MeanTweets: 200}
+
+// TestTweetBatchBoundaryInvalidation drives the batching layer's repair
+// edge hard: few authors with very long tweet runs, so gathered entries
+// live across many draws and the authors' own moves (z moves and ν
+// flips) must repair gathered counts mid-run. The fit must reproduce its
+// pinned fingerprint, and the stats must prove the edge actually fired
+// (reuse without repairs would mean the world was too tame to test
+// invalidation).
+func TestTweetBatchBoundaryInvalidation(t *testing.T) {
+	d, err := synth.Generate(longRunWorld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 7, Iterations: 6, Workers: 1, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}
+	m, err := Fit(&d.Corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := m.TweetBatchStats()
+	t.Logf("batch stats: %+v", st)
+	if st.Hits == 0 {
+		t.Error("no batch entry reuse on a long-run tweet world — batching is inert")
+	}
+	if st.Repairs == 0 {
+		t.Error("no in-place repairs — the invalidation edge was never exercised")
+	}
+	const want = uint64(0x12aab703d18c20d5)
+	got := fitFingerprint(m)
+	t.Logf("fingerprint: %#x", got)
+	if got != want {
+		t.Errorf("fingerprint %#x differs from pinned %#x — a repair missed a gathered count", got, want)
+	}
+}
+
+// TestBatchLayoutShardedIdentity repeats the repair-heavy world under
+// the sharded sweep, both boundary protocols: each fit must reproduce
+// the fingerprint the unbatched per-tweet kernel pinned (the overlay
+// reads, barrier folds and stale-op interplay must survive batching),
+// and the batch layer must have reused and repaired entries.
+func TestBatchLayoutShardedIdentity(t *testing.T) {
+	d, err := synth.Generate(longRunWorld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		stale       bool
+		fingerprint uint64
+	}{{false, 0x944ef7daf00d7bfe}, {true, 0x5a0f6b90c90e9b2a}} {
+		t.Run(fmt.Sprintf("stale=%v", g.stale), func(t *testing.T) {
+			cfg := Config{Seed: 7, Iterations: 6, Shards: 4, StaleBoundary: g.stale, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}
+			m, err := Fit(&d.Corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := m.TweetBatchStats(); st.Hits == 0 || st.Repairs == 0 {
+				t.Errorf("sharded batch layer inert: stats %+v", st)
+			}
+			if got := fitFingerprint(m); got != g.fingerprint {
+				t.Errorf("sharded stale=%v fingerprint %#x differs from the unbatched kernel's %#x", g.stale, got, g.fingerprint)
+			}
+		})
+	}
+}
+
+// sparseWorld is a gazetteer just past the dense pair-matrix ceiling —
+// big enough that the dense build is skipped, small enough to fit in
+// test time.
+func sparseWorld(seed int64, users int) synth.Config {
+	return synth.Config{Seed: seed, NumUsers: users, NumLocations: MaxDensePairCities + 152}
+}
+
+// TestSparseBinsPowRowMatchesFallback is the unit-level identity: a
+// sparse pow row serves exactly the values the same table's single
+// lookups compute — same quantized log, same exp — across α-epochs.
+// Row-walking kernels and single lookups therefore cannot diverge
+// however they mix.
+func TestSparseBinsPowRowMatchesFallback(t *testing.T) {
+	d, err := synth.Generate(sparseWorld(61, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Corpus.Gaz
+	dt := distTableFor(newDistCalc(g), g)
+	probes := []gazetteer.CityID{0, 3, 511, gazetteer.CityID(g.Len() - 1)}
+	for _, alpha := range []float64{-0.55, -0.8} {
+		dt.setAlpha(alpha)
+		if active, dense := (&Model{dt: dt}).DistTableStatus(); !active || dense {
+			t.Fatalf("alpha=%v: status active=%v dense=%v, want active without dense", alpha, active, dense)
+		}
+		for _, a := range probes {
+			prow := dt.powRow(a)
+			for _, b := range probes {
+				if want := dt.pow(a, b); prow[b] != want {
+					t.Errorf("alpha=%v: powRow(%d)[%d] = %v, single lookup = %v", alpha, a, b, prow[b], want)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseBinsFingerprintEquivalence pins the fit at L >
+// MaxDensePairCities under the parallel sweep, where rows are built and
+// read concurrently. The fingerprint is the one the per-lookup
+// quantization path produced bit for bit (both serve exp(α·quantLog) for
+// every pair). Also locks the reported status: the table must be active
+// without the dense matrix.
+func TestSparseBinsFingerprintEquivalence(t *testing.T) {
+	d, err := synth.Generate(sparseWorld(105, 150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 7, Iterations: 4, Workers: 4, GibbsEM: true, EMInterval: 2, EMPairSample: 20000}
+	m, err := Fit(&d.Corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if active, dense := m.DistTableStatus(); !active || dense {
+		t.Errorf("DistTableStatus active=%v dense=%v, want active without dense above the ceiling", active, dense)
+	}
+	const want = uint64(0x1636163e41d03858)
+	got := fitFingerprint(m)
+	t.Logf("fingerprint: %#x", got)
+	if got != want {
+		t.Errorf("sparse bin-row fingerprint %#x differs from pinned %#x", got, want)
+	}
+}
+
+// TestSparseBinsDistEquivalence is the large-gazetteer leg of the
+// distance-table equivalence claim: at L > MaxDensePairCities, a
+// dist=table fit (served entirely from sparse bin rows — no dense
+// matrix exists) must still shadow the exact fit to ≥99% top-1 and
+// refit α within quantization tolerance.
+func TestSparseBinsDistEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("equivalence property tests run full fits; skipped in -short")
+	}
+	d, err := synth.Generate(sparseWorld(106, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds := dataset.KFold(len(d.Corpus.Users), 5, 99)
+	c := d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
+
+	cfg := Config{Seed: 7, Iterations: 8, Workers: 1, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
+	cfg.DistTable = DistTableOff
+	exact, err := Fit(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DistTable = DistTableOn
+	table, err := Fit(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if active, dense := table.DistTableStatus(); !active || dense {
+		t.Fatalf("DistTableStatus active=%v dense=%v, want sparse-active above the ceiling", active, dense)
+	}
+	agree := top1Agreement(exact, table, c)
+	aE, _ := exact.AlphaBeta()
+	aT, _ := table.AlphaBeta()
+	t.Logf("L=%d top-1 agreement %.4f; alpha exact %.4f table %.4f", d.Corpus.Gaz.Len(), agree, aE, aT)
+	if agree < equivAgreementMin {
+		t.Errorf("top-1 agreement %.4f < %.2f — sparse-row chain decoupled from exact chain", agree, equivAgreementMin)
+	}
+	if math.Abs(aE-aT) > equivAlphaTol {
+		t.Errorf("alpha diverged: exact %.4f vs table %.4f (tol %.2f)", aE, aT, equivAlphaTol)
+	}
+}

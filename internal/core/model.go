@@ -27,17 +27,6 @@ type Model struct {
 
 	useF, useT bool
 
-	// fused selects the single-pass prefix-sum draw pipeline in every
-	// update kernel (Config.FusedDraw, DESIGN.md §9); false runs the
-	// reference fill + randutil.Categorical path.
-	fused bool
-
-	// batched selects the per-author tweet-draw batching layer on top of
-	// the fused venue-major pipeline (Config.TweetBatch, DESIGN.md §14).
-	// Requires fused and the venue-major store; the reference scan/map
-	// paths stay untouched. Set once after initState.
-	batched bool
-
 	// phaseSec accumulates wall-clock seconds per sweep phase (edge /
 	// tweet / fold / …), written only by the sweep coordinator between
 	// barriers (see phase.go). Nil until the first sweep.
@@ -49,38 +38,31 @@ type Model struct {
 	// Collapsed profile counts ϕ_i (per user, indexed like cands.cand[u]).
 	phi    [][]float64
 	phiSum []float64
-	// pg (non-nil iff fused) mirrors ϕ+γ per candidate — the θ̂ numerator
-	// every weight loop otherwise re-adds per candidate. It is built from
-	// fresh sums after initState's assignments and then shifted ±1 in
-	// lockstep with every ϕ mutation. A ±1 shift of a float can round at
-	// a power-of-two crossing, so pg may drift from the fresh sum by an
-	// ulp-scale random walk — far inside the equivalence tolerance, and
-	// on the golden world it flips no draw (the fingerprint matrix stays
-	// equal across the knob). The exact µ/ν factors (theta) keep using
-	// fresh ϕ+γ.
+	// pg mirrors ϕ+γ per candidate — the θ̂ numerator every weight loop
+	// otherwise re-adds per candidate. It is built from fresh sums after
+	// initState's assignments and then shifted ±1 in lockstep with every
+	// ϕ mutation. A ±1 shift of a float can round at a power-of-two
+	// crossing, so pg may drift from the fresh sum by an ulp-scale random
+	// walk — far inside the equivalence tolerance. The exact µ/ν factors
+	// (theta) keep using fresh ϕ+γ. Nil on snapshot-loaded models, which
+	// never sweep.
 	pg [][]float64
 
 	// Collapsed venue counts φ_{l,v}, accumulating location-based tweets
-	// only (ν = 0). Exactly one layout is active, per cfg.PsiStore: the
-	// venue-major store ps (one open-addressed (city, count) row per
-	// venue — the fast path, see psistore.go), or the city-major map
-	// layout venueCount[l][v] (the reference path). venueSum[l] is the
-	// per-city total under either layout.
-	venueCount []map[gazetteer.VenueID]float64
-	ps         *psiStore
-	venueSum   []float64
-	numVenues  int
+	// only (ν = 0), stored venue-major: one open-addressed (city, count)
+	// row per venue (see psistore.go). venueSum[l] is the per-city total.
+	ps        *psiStore
+	venueSum  []float64
+	numVenues int
 	// deltaTotal caches ψ̂'s smoothing denominator addend δ|V| (the same
 	// product psiFrom would otherwise recompute per candidate).
 	deltaTotal float64
-	// venueRSum (non-nil iff fused) holds 1/(venueSum[l]+δ|V|), refreshed
-	// on every count mutation: the fused tweet fills multiply by it
-	// instead of dividing per candidate — one division per ±1 shift in
-	// place of ≤MaxCandidates divisions per draw. The product
-	// (cnt+δ)·rsum differs from the reference quotient by ≤2 ulp; on the
-	// golden world no draw flips (the fingerprint matrix stays equal
-	// across the knob) and the general case is equivalence-locked, the
-	// same structure as the distance table's quantization.
+	// venueRSum holds 1/(venueSum[l]+δ|V|), refreshed on every count
+	// mutation: the tweet fills multiply by it instead of dividing per
+	// candidate — one division per ±1 shift in place of ≤MaxCandidates
+	// divisions per draw. The product (cnt+δ)·rsum differs from the
+	// quotient by ≤2 ulp, the same structure as the distance table's
+	// quantization. Nil on snapshot-loaded models.
 	venueRSum []float64
 
 	// Edge latent state: selector µ_s and candidate indexes of x_s, y_s.
@@ -135,7 +117,6 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		useF:   cfg.Variant != TweetingOnly,
 		useT:   cfg.Variant != FollowingOnly,
-		fused:  cfg.FusedDraw != FusedDrawOff,
 		alpha:  cfg.Alpha,
 		beta:   cfg.Beta,
 	}
@@ -161,7 +142,7 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 	// The distance table is built after the initial (α, β) fit so its
 	// first α-epoch memoizes the exponent the sweeps will actually use.
 	if m.useF && cfg.DistTable != DistTableOff {
-		m.dt = distTableFor(m.dc, c.Gaz, cfg.SparseBins != SparseBinsOff)
+		m.dt = distTableFor(m.dc, c.Gaz)
 		m.dt.setAlpha(m.alpha)
 		if cfg.BlockedSampler {
 			m.etab = make([]edgeCache, len(c.Edges))
@@ -170,7 +151,6 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 
 	m.cands = buildCandidates(c, cfg, m.useF, m.useT)
 	m.initState()
-	m.batched = cfg.TweetBatch != TweetBatchOff && m.fused && m.ps != nil
 
 	for iter := 1; iter <= cfg.Iterations; iter++ {
 		m.curIter = iter
@@ -192,47 +172,18 @@ func (m *Model) initState() {
 	c := m.corpus
 	n := len(c.Users)
 
-	m.phi = make([][]float64, n)
+	m.phi = slabRows(m.cands.cand)
 	m.phiSum = make([]float64, n)
-	if m.cfg.Layout != LayoutOff {
-		// Interleaved layout (DESIGN.md §14): all users' ϕ rows live in
-		// one contiguous slab, in user order — the order the sweeps walk
-		// them — so the fill kernels stream stride-1 instead of chasing
-		// per-user allocations. Full-capacity re-slices keep a row's
-		// append (never done) from clobbering its neighbor. Values are
-		// untouched by the layout, so every draw is bit-identical.
-		total := 0
-		for u := 0; u < n; u++ {
-			total += len(m.cands.cand[u])
-		}
-		slab := make([]float64, total)
-		off := 0
-		for u := 0; u < n; u++ {
-			nc := len(m.cands.cand[u])
-			m.phi[u] = slab[off : off+nc : off+nc]
-			off += nc
-		}
-	} else {
-		for u := 0; u < n; u++ {
-			m.phi[u] = make([]float64, len(m.cands.cand[u]))
-		}
-	}
 
 	m.numVenues = c.Venues.Len()
 	m.deltaTotal = m.cfg.Delta * float64(m.numVenues)
 	L := c.Gaz.Len()
-	if m.cfg.PsiStore == PsiStoreOn {
-		m.ps = newPsiStore(m.numVenues)
-	} else {
-		m.venueCount = make([]map[gazetteer.VenueID]float64, L)
-	}
+	m.ps = newPsiStore(m.numVenues)
 	m.venueSum = make([]float64, L)
-	if m.fused && m.useT {
-		m.venueRSum = make([]float64, L)
-		inv0 := 1 / m.deltaTotal
-		for l := range m.venueRSum {
-			m.venueRSum[l] = inv0
-		}
+	m.venueRSum = make([]float64, L)
+	inv0 := 1 / m.deltaTotal
+	for l := range m.venueRSum {
+		m.venueRSum[l] = inv0
 	}
 
 	m.initRandomModels()
@@ -268,38 +219,39 @@ func (m *Model) initState() {
 			m.tz[k] = uint16(zi)
 			m.phi[t.User][zi]++
 			m.phiSum[t.User]++
-			m.addVenue(m.cands.cand[t.User][zi], t.Venue)
+			m.shiftVenue(m.cands.cand[t.User][zi], t.Venue, 1)
 		}
 	}
 
 	// The ϕ+γ mirror starts from fresh sums over the initial counts;
 	// the kernels shift it alongside every later ϕ mutation.
-	if m.fused {
-		m.pg = make([][]float64, n)
-		var slab []float64
-		if m.cfg.Layout != LayoutOff {
-			total := 0
-			for u := 0; u < n; u++ {
-				total += len(m.phi[u])
-			}
-			slab = make([]float64, total)
-		}
-		off := 0
-		for u := 0; u < n; u++ {
-			phi, gamma := m.phi[u], m.cands.gamma[u]
-			var row []float64
-			if slab != nil {
-				row = slab[off : off+len(phi) : off+len(phi)]
-				off += len(phi)
-			} else {
-				row = make([]float64, len(phi))
-			}
-			for c := range row {
-				row[c] = phi[c] + gamma[c]
-			}
-			m.pg[u] = row
+	m.pg = slabRows(m.cands.cand)
+	for u, row := range m.pg {
+		phi, gamma := m.phi[u], m.cands.gamma[u]
+		for c := range row {
+			row[c] = phi[c] + gamma[c]
 		}
 	}
+}
+
+// slabRows carves one zeroed row per user, sized like the user's
+// candidate set, out of a single allocation in user order — the order
+// the sweeps walk them — so the fill kernels stream stride-1 memory
+// instead of chasing per-user allocations (DESIGN.md §14). Full-capacity
+// re-slices keep a row from ever growing into its neighbor.
+func slabRows(cand [][]gazetteer.CityID) [][]float64 {
+	total := 0
+	for _, c := range cand {
+		total += len(c)
+	}
+	slab := make([]float64, total)
+	rows := make([][]float64, len(cand))
+	off := 0
+	for u, c := range cand {
+		rows[u] = slab[off : off+len(c) : off+len(c)]
+		off += len(c)
+	}
+	return rows
 }
 
 // initRandomModels learns the empirical random models F_R and T_R from the
@@ -322,71 +274,18 @@ func (m *Model) initRandomModels() {
 	}
 }
 
-func (m *Model) addVenue(l gazetteer.CityID, v gazetteer.VenueID) {
-	if m.ps != nil {
-		m.ps.add(v, l, 1)
-	} else {
-		if m.venueCount[l] == nil {
-			m.venueCount[l] = make(map[gazetteer.VenueID]float64, 8)
-		}
-		m.venueCount[l][v]++
-	}
-	m.venueSum[l]++
-	if m.venueRSum != nil {
-		m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
-	}
-}
-
-func (m *Model) removeVenue(l gazetteer.CityID, v gazetteer.VenueID) {
-	if m.ps != nil {
-		m.ps.add(v, l, -1)
-	} else {
-		m.venueCount[l][v]--
-		if m.venueCount[l][v] <= 0 {
-			delete(m.venueCount[l], v)
-		}
-	}
-	m.venueSum[l]--
-	if m.venueRSum != nil {
-		m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
-	}
-}
-
-// venueCnt returns φ_{l,v} under whichever count layout is active.
-func (m *Model) venueCnt(l gazetteer.CityID, v gazetteer.VenueID) float64 {
-	if m.ps != nil {
-		return m.ps.get(v, l)
-	}
-	if m.venueCount[l] != nil {
-		return m.venueCount[l][v]
-	}
-	return 0
+// shiftVenue moves φ_{l,v} and the per-city total by d, keeping the
+// maintained reciprocal current.
+func (m *Model) shiftVenue(l gazetteer.CityID, v gazetteer.VenueID, d float64) {
+	m.ps.add(v, l, d)
+	m.venueSum[l] += d
+	m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
 }
 
 // psi returns the collapsed venue probability ψ̂_l(v) (Eq. 6's second
 // factor): (φ_{l,v} + δ) / (Σ_v φ_{l,v} + δ|V|).
 func (m *Model) psi(l gazetteer.CityID, v gazetteer.VenueID) float64 {
-	return m.psiFrom(m.venueCnt(l, v), m.venueSum[l])
-}
-
-// venueCountsByCity materializes the collapsed venue counts in city-major
-// map form regardless of the active layout — the invariant tests and
-// count readouts consume this, not the store internals.
-func (m *Model) venueCountsByCity() []map[gazetteer.VenueID]float64 {
-	if m.ps == nil {
-		return m.venueCount
-	}
-	out := make([]map[gazetteer.VenueID]float64, len(m.venueSum))
-	for v := range m.ps.rows {
-		r := &m.ps.rows[v]
-		for i, l := range r.cities {
-			if out[l] == nil {
-				out[l] = make(map[gazetteer.VenueID]float64, 8)
-			}
-			out[l][gazetteer.VenueID(v)] += r.vals[i]
-		}
-	}
-	return out
+	return m.psiFrom(m.ps.get(v, l), m.venueSum[l])
 }
 
 // psiFrom is the ψ̂ smoothing shared by the sequential estimate and the

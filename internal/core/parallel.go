@@ -32,19 +32,14 @@ type sweepCtx struct {
 	// ±1 deltas here, reading them back through psi so it still sees its
 	// own updates. Deltas are folded into the model after the phase
 	// barrier; the counts are integer-valued, so the fold order cannot
-	// change the result.
-	//
-	// The overlay layout follows cfg.PsiStore. PsiStoreOn: ovl holds
-	// venue-major delta rows matching the model's store, ovlSum the flat
-	// per-city sum deltas, and ovlVenues/ovlCities the dirty lists that
-	// make the fold and the clear O(touched) instead of O(|V|+L).
-	// PsiStoreOff: the original venueKey-packed map pair.
+	// change the result. ovl holds venue-major delta rows matching the
+	// model's store, ovlSum the flat per-city sum deltas, and
+	// ovlVenues/ovlCities the dirty lists that make the fold and the
+	// clear O(touched) instead of O(|V|+L).
 	ovl       *psiStore
 	ovlSum    []float64
 	ovlVenues []int32
 	ovlCities []int32
-	vdelta    map[uint64]float64
-	vsum      map[gazetteer.CityID]float64
 
 	// Epoch-stamped gather scratch of the venue-major store, sized |L|
 	// (see gatherPsi): gcells[l] holds the count gathered for the
@@ -56,70 +51,47 @@ type sweepCtx struct {
 	// stale-boundary protocol (see shard.go); empty outside it.
 	stale []staleOp
 
-	// batch is the per-author tweet-draw batching state (tweetbatch.go),
-	// used only when Model.batched.
+	// batch is the per-author tweet-draw batching state (tweetbatch.go).
 	batch tweetBatch
 }
 
-// venueKey packs a (city, venue) pair into one map key. Only the
-// PsiStoreOff overlay still uses it: the venue-major fast path replaced
-// the packed map with flat delta rows, but the reference path's overlay
-// is deliberately left exactly as it shipped so PsiStoreOff remains the
-// untouched baseline the store is fingerprint-tested against.
-func venueKey(l gazetteer.CityID, v gazetteer.VenueID) uint64 {
-	return uint64(uint32(l))<<32 | uint64(uint32(v))
-}
-
-// addVenue counts one venue observation at location l, either directly on
-// the model (sequential) or into the worker's deferred overlay (parallel).
-func (c *sweepCtx) addVenue(l gazetteer.CityID, v gazetteer.VenueID) {
-	c.shiftVenue(l, v, 1)
-}
-
-func (c *sweepCtx) removeVenue(l gazetteer.CityID, v gazetteer.VenueID) {
-	c.shiftVenue(l, v, -1)
-}
-
+// shiftVenue moves one venue observation count at location l by d,
+// either directly on the model (sequential) or into the worker's
+// deferred overlay (parallel).
 func (c *sweepCtx) shiftVenue(l gazetteer.CityID, v gazetteer.VenueID, d float64) {
-	switch {
-	case c.ovl != nil:
-		if c.ovl.accumDelta(v, l, d) {
-			c.ovlVenues = append(c.ovlVenues, int32(v))
-		}
-		if c.ovlSum[l] == 0 {
-			// First touch of this city, or a delta that had returned to
-			// zero: either way register it; fold dedupes for free because
-			// re-folding a zeroed entry is a no-op.
-			c.ovlCities = append(c.ovlCities, int32(l))
-		}
-		c.ovlSum[l] += d
-	case c.vdelta != nil:
-		c.vdelta[venueKey(l, v)] += d
-		c.vsum[l] += d
-	default:
-		if d > 0 {
-			c.m.addVenue(l, v)
-		} else {
-			c.m.removeVenue(l, v)
-		}
+	if c.ovl == nil {
+		c.m.shiftVenue(l, v, d)
+		return
 	}
+	if c.ovl.accumDelta(v, l, d) {
+		c.ovlVenues = append(c.ovlVenues, int32(v))
+	}
+	if c.ovlSum[l] == 0 {
+		// First touch of this city, or a delta that had returned to
+		// zero: either way register it; fold dedupes for free because
+		// re-folding a zeroed entry is a no-op.
+		c.ovlCities = append(c.ovlCities, int32(l))
+	}
+	c.ovlSum[l] += d
 }
 
 // psi is ψ̂_l(v) as seen by this stream: the model's collapsed estimate,
 // plus the worker's own pending deltas when running deferred.
 func (c *sweepCtx) psi(l gazetteer.CityID, v gazetteer.VenueID) float64 {
 	m := c.m
-	switch {
-	case c.ovl != nil:
-		return m.psiFrom(m.ps.get(v, l)+c.ovl.get(v, l), m.venueSum[l]+c.ovlSum[l])
-	case c.vdelta != nil:
-		var cnt float64
-		if m.venueCount[l] != nil {
-			cnt = m.venueCount[l][v]
-		}
-		return m.psiFrom(cnt+c.vdelta[venueKey(l, v)], m.venueSum[l]+c.vsum[l])
-	default:
+	if c.ovl == nil {
 		return m.psi(l, v)
+	}
+	return m.psiFrom(m.ps.get(v, l)+c.ovl.get(v, l), m.venueSum[l]+c.ovlSum[l])
+}
+
+// ensureOverlay allocates the worker's deferred venue overlay on first
+// use.
+func (c *sweepCtx) ensureOverlay() {
+	if c.ovl == nil {
+		m := c.m
+		c.ovl = newPsiStore(m.numVenues)
+		c.ovlSum = make([]float64, len(m.venueSum))
 	}
 }
 
@@ -316,15 +288,7 @@ func (m *Model) sweepParallel() {
 					continue
 				}
 				ctx := m.parCtxs[w]
-				if m.ps != nil {
-					if ctx.ovl == nil {
-						ctx.ovl = newPsiStore(m.numVenues)
-						ctx.ovlSum = make([]float64, len(m.venueSum))
-					}
-				} else if ctx.vdelta == nil {
-					ctx.vdelta = make(map[uint64]float64, 256)
-					ctx.vsum = make(map[gazetteer.CityID]float64, 64)
-				}
+				ctx.ensureOverlay()
 				wg.Add(1)
 				go func(ctx *sweepCtx, shard []int32) {
 					defer wg.Done()
@@ -352,63 +316,25 @@ func (m *Model) foldVenueDeltas() { m.foldVenueDeltasFrom(m.parCtxs) }
 // foldVenueDeltasFrom is foldVenueDeltas over an explicit ctx set — the
 // sharded sweep folds its per-shard ctxs through the same code path.
 func (m *Model) foldVenueDeltasFrom(ctxs []*sweepCtx) {
-	if m.ps != nil {
-		for _, ctx := range ctxs {
-			if ctx.ovl == nil {
-				continue
-			}
-			for _, v := range ctx.ovlVenues {
-				r := &ctx.ovl.rows[v]
-				for i, l := range r.cities {
-					if r.vals[i] != 0 {
-						m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), r.vals[i])
-					}
-				}
-				r.reset()
-			}
-			ctx.ovlVenues = ctx.ovlVenues[:0]
-			for _, l := range ctx.ovlCities {
-				m.venueSum[l] += ctx.ovlSum[l]
-				if m.venueRSum != nil {
-					m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
-				}
-				ctx.ovlSum[l] = 0
-			}
-			ctx.ovlCities = ctx.ovlCities[:0]
-		}
-		return
-	}
 	for _, ctx := range ctxs {
-		if ctx.vdelta == nil {
+		if ctx.ovl == nil {
 			continue
 		}
-		//mlp:allow maporder order-independent: one commutative count apply per distinct (city,venue) key
-		for key, d := range ctx.vdelta {
-			if d == 0 {
-				continue
-			}
-			l := gazetteer.CityID(key >> 32)
-			v := gazetteer.VenueID(uint32(key))
-			if m.venueCount[l] == nil {
-				m.venueCount[l] = make(map[gazetteer.VenueID]float64, 8)
-			}
-			nv := m.venueCount[l][v] + d
-			if nv <= 0 {
-				delete(m.venueCount[l], v)
-			} else {
-				m.venueCount[l][v] = nv
-			}
-		}
-		//mlp:allow maporder order-independent: one commutative sum apply per distinct city key
-		for l, d := range ctx.vsum {
-			if d != 0 {
-				m.venueSum[l] += d
-				if m.venueRSum != nil {
-					m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
+		for _, v := range ctx.ovlVenues {
+			r := &ctx.ovl.rows[v]
+			for i, l := range r.cities {
+				if r.vals[i] != 0 {
+					m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), r.vals[i])
 				}
 			}
+			r.reset()
 		}
-		clear(ctx.vdelta)
-		clear(ctx.vsum)
+		ctx.ovlVenues = ctx.ovlVenues[:0]
+		for _, l := range ctx.ovlCities {
+			m.venueSum[l] += ctx.ovlSum[l]
+			m.venueRSum[l] = 1 / (m.venueSum[l] + m.deltaTotal)
+			ctx.ovlSum[l] = 0
+		}
+		ctx.ovlCities = ctx.ovlCities[:0]
 	}
 }

@@ -98,37 +98,7 @@ func TestParallelCountInvariants(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			m, _ := fitFold(t, d, cfg)
-			c := &d.Corpus
-
-			expect := make([]float64, len(c.Users))
-			for s, e := range c.Edges {
-				if !m.mu[s] {
-					expect[e.From]++
-					expect[e.To]++
-				}
-			}
-			for k, tr := range c.Tweets {
-				if !m.nu[k] {
-					expect[tr.User]++
-				}
-			}
-			for u := range c.Users {
-				if m.phiSum[u] != expect[u] {
-					t.Fatalf("user %d: phiSum=%f want %f", u, m.phiSum[u], expect[u])
-				}
-				var sum float64
-				for _, v := range m.phi[u] {
-					if v < 0 {
-						t.Fatalf("user %d: negative count %f", u, v)
-					}
-					sum += v
-				}
-				if math.Abs(sum-m.phiSum[u]) > 1e-6 {
-					t.Fatalf("user %d: phi sums to %f, phiSum=%f", u, sum, m.phiSum[u])
-				}
-			}
-
-			checkVenueInvariants(t, m)
+			checkInvariants(t, m)
 		})
 	}
 }

@@ -170,9 +170,8 @@ func (m *Model) NoiseStats() (edgeNoise, tweetNoise float64) {
 
 // VenueProbability returns the collapsed venue probability ψ̂_l(v) —
 // Eq. 6's tweeting factor: how likely a user located at l is to mention
-// venue v, under the fitted counts. The readout is identical under
-// either PsiStore layout. Models without tweeting observations (MLP_U)
-// report zero.
+// venue v, under the fitted counts. Models without tweeting
+// observations (MLP_U) report zero.
 func (m *Model) VenueProbability(l gazetteer.CityID, v gazetteer.VenueID) float64 {
 	if !m.useT || l < 0 || int(l) >= len(m.venueSum) || v < 0 || int(v) >= m.numVenues {
 		return 0

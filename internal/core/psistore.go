@@ -4,30 +4,24 @@ import (
 	"mlprofile/internal/gazetteer"
 )
 
-// This file implements the venue-major collapsed count store behind
-// Config.PsiStore (see DESIGN.md §8). The tweet kernel's ψ̂ factor probes
-// the count φ_{l,v} once per candidate per tweet (Eqs. 6/9); with the
-// city-major map layout (model.go) every probe is a hash plus a pointer
-// chase into a different map, and the parallel overlay doubles it. The
-// venue-major layout inverts the nesting: all counts of one venue — the
-// quantity a single tweet update actually needs across its ≤MaxCandidates
-// candidate cities — sit together in one compact row, so a per-tweet
-// gather (sweepCtx.gatherPsi) resolves every candidate's count in one
-// pass over the row and the per-candidate cost drops to one array load.
-// Counts are gathered, never approximated, and the ψ̂ smoothing
-// (Model.psiFrom) is shared with the map path, so a PsiStoreOn chain is
-// bit-identical to the PsiStoreOff reference — the golden fingerprint
-// matrix asserts equality across every Workers × kernel × DistTable ×
-// FusedDraw mode.
+// This file implements the venue-major collapsed count store (see
+// DESIGN.md §8). The tweet kernel's ψ̂ factor needs the count φ_{l,v}
+// once per candidate per tweet (Eqs. 6/9). A city-major layout would pay
+// a hash plus a pointer chase into a different map per probe, and the
+// parallel overlay would double it. The venue-major layout inverts the
+// nesting: all counts of one venue — the quantity a single tweet update
+// actually needs across its ≤MaxCandidates candidate cities — sit
+// together in one compact row, so a gather (sweepCtx.gatherPsi) resolves
+// every candidate's count in one pass over the row and the per-candidate
+// cost drops to one array load. Counts are gathered, never approximated.
 //
-// Row layout (reworked for the fused draw pipeline, DESIGN.md §9): the
-// live (city, count) pairs sit densely in two compact parallel arrays,
-// and the open-addressed hash table stores compact indexes instead of
-// keys. Probes pay one extra indirection per step (slot → compact
-// city), but the gather — the hot per-tweet operation — walks exactly
-// the live entries instead of the table's slot capacity, which early in
-// sampling (venues spread over many cities, tables grown wide) is the
-// difference between O(live) and O(4·live) per tweet.
+// Row layout: the live (city, count) pairs sit densely in two compact
+// parallel arrays, and the open-addressed hash table stores compact
+// indexes instead of keys. Probes pay one extra indirection per step
+// (slot → compact city), but the gather — the hot per-tweet operation —
+// walks exactly the live entries instead of the table's slot capacity,
+// which early in sampling (venues spread over many cities, tables grown
+// wide) is the difference between O(live) and O(4·live) per tweet.
 
 // psiEmptySlot marks a free slot in a row's open-addressed index table.
 // Compact indexes are non-negative, so -1 can never collide.
@@ -231,9 +225,8 @@ func newPsiStore(numVenues int) *psiStore {
 }
 
 // add accumulates d onto φ_{l,v} and deletes the entry when the count
-// reaches zero, mirroring the map path's delete-at-zero (counts are
-// integer-valued, so exact zero is reachable and "present ⇒ positive"
-// keeps rows minimal).
+// reaches zero (counts are integer-valued, so exact zero is reachable
+// and "present ⇒ positive" keeps rows minimal).
 func (ps *psiStore) add(v gazetteer.VenueID, l gazetteer.CityID, d float64) {
 	r := &ps.rows[v]
 	slot, ci := r.findOrInsert(int32(l))
@@ -289,9 +282,10 @@ type psiGatherCell struct {
 // gatherPsi stamps venue v's counts — the base store row plus, on a
 // parallel worker, the overlay row's pending deltas — into the ctx's
 // epoch-stamped scratch. One pass over the row's compact live pairs
-// replaces the per-candidate probes of the map path: after the gather,
-// gatheredPsi(l) is an array read per candidate. The epoch stamp makes
-// clearing free; stamps are uint64, so wraparound is unreachable.
+// replaces per-candidate probes: after the gather, a candidate's count
+// is one array read (gcells[l], valid iff its stamp equals gepoch). The
+// epoch stamp makes clearing free; stamps are uint64, so wraparound is
+// unreachable.
 func (c *sweepCtx) gatherPsi(v gazetteer.VenueID) {
 	m := c.m
 	if len(c.gcells) != len(m.venueSum) {
@@ -314,59 +308,4 @@ func (c *sweepCtx) gatherPsi(v gazetteer.VenueID) {
 			}
 		}
 	}
-}
-
-// gatheredPsi is ψ̂_l(v) for the venue of the last gatherPsi call, as
-// seen by this stream (own overlay deltas included on both the count and
-// the sum side).
-func (c *sweepCtx) gatheredPsi(l gazetteer.CityID) float64 {
-	m := c.m
-	var cnt float64
-	if cell := &c.gcells[l]; cell.stamp == c.gepoch {
-		cnt = cell.cnt
-	}
-	sum := m.venueSum[l]
-	if c.ovl != nil {
-		sum += c.ovlSum[l]
-	}
-	return m.psiFrom(cnt, sum)
-}
-
-// gatheredPsiExcl is gatheredPsi with one observation at city ex
-// excluded — the "−1" form of Eqs. 6/9. Only city ex's count and sum are
-// affected, and the counts are integer-valued floats, so subtracting
-// here is bit-identical to the reference kernel's remove-then-read.
-func (c *sweepCtx) gatheredPsiExcl(l, ex gazetteer.CityID) float64 {
-	m := c.m
-	var cnt float64
-	if cell := &c.gcells[l]; cell.stamp == c.gepoch {
-		cnt = cell.cnt
-	}
-	sum := m.venueSum[l]
-	if c.ovl != nil {
-		sum += c.ovlSum[l]
-	}
-	if l == ex {
-		cnt--
-		sum--
-	}
-	return m.psiFrom(cnt, sum)
-}
-
-// psiExcl is the probe-path analogue of gatheredPsiExcl: ψ̂_l(v) with one
-// observation at city ex excluded, resolved by direct row probes (store
-// path only).
-func (c *sweepCtx) psiExcl(l gazetteer.CityID, v gazetteer.VenueID, ex gazetteer.CityID) float64 {
-	m := c.m
-	cnt := m.ps.get(v, l)
-	sum := m.venueSum[l]
-	if c.ovl != nil {
-		cnt += c.ovl.get(v, l)
-		sum += c.ovlSum[l]
-	}
-	if l == ex {
-		cnt--
-		sum--
-	}
-	return m.psiFrom(cnt, sum)
 }

@@ -1,16 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"mlprofile/internal/gazetteer"
 )
 
-// TestPsiRowDeleteAtZero: the base store's delete-at-zero, the boundary
-// the map path expresses with delete(map, v) — removing the last count
-// must remove the entry (present ⇒ positive) and keep probes correct.
+// TestPsiRowDeleteAtZero: the base store's delete-at-zero — removing the
+// last count must remove the entry (present ⇒ positive) and keep probes
+// correct.
 func TestPsiRowDeleteAtZero(t *testing.T) {
 	ps := newPsiStore(3)
 	v := gazetteer.VenueID(1)
@@ -75,17 +74,24 @@ func TestPsiRowStressVsMap(t *testing.T) {
 	}
 }
 
-// psiFixture builds a model skeleton with one parallel worker context —
-// enough machinery to exercise the overlay and fold without a full Fit.
-func psiFixture(numVenues, L int) (*Model, *sweepCtx) {
-	m := &Model{
-		cfg:        Config{Delta: 0.01, PsiStore: PsiStoreOn},
+// psiModel builds a model skeleton holding just the venue-count state.
+func psiModel(numVenues, L int) *Model {
+	return &Model{
+		cfg:        Config{Delta: 0.01},
 		numVenues:  numVenues,
 		deltaTotal: 0.01 * float64(numVenues),
 		venueSum:   make([]float64, L),
+		venueRSum:  make([]float64, L),
 		ps:         newPsiStore(numVenues),
 	}
-	ctx := &sweepCtx{m: m, ovl: newPsiStore(numVenues), ovlSum: make([]float64, L)}
+}
+
+// psiFixture adds one parallel worker context to psiModel — enough
+// machinery to exercise the overlay and fold without a full Fit.
+func psiFixture(numVenues, L int) (*Model, *sweepCtx) {
+	m := psiModel(numVenues, L)
+	ctx := &sweepCtx{m: m}
+	ctx.ensureOverlay()
 	m.parCtxs = []*sweepCtx{ctx}
 	return m, ctx
 }
@@ -99,26 +105,26 @@ func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
 	v1, v2 := gazetteer.VenueID(1), gazetteer.VenueID(2)
 
 	// Base counts: two tweets at (v1, city 3), three at (v2, city 1).
-	m.addVenue(3, v1)
-	m.addVenue(3, v1)
+	m.shiftVenue(3, v1, 1)
+	m.shiftVenue(3, v1, 1)
 	for i := 0; i < 3; i++ {
-		m.addVenue(1, v2)
+		m.shiftVenue(1, v2, 1)
 	}
 
 	// Worker: net −2 on (v1, 3); +1 then −1 (net zero) on (v2, 1).
-	ctx.removeVenue(3, v1)
+	ctx.shiftVenue(3, v1, -1)
 	if got, want := ctx.psi(3, v1), m.psiFrom(1, 1); got != want {
 		t.Fatalf("worker psi mid-phase = %v, want %v", got, want)
 	}
-	ctx.removeVenue(3, v1)
+	ctx.shiftVenue(3, v1, -1)
 	if got := ctx.ovl.get(v1, 3); got != -2 {
 		t.Fatalf("overlay delta = %v, want -2", got)
 	}
 	if got, want := ctx.psi(3, v1), m.psiFrom(0, 0); got != want {
 		t.Fatalf("worker psi at zero = %v, want %v", got, want)
 	}
-	ctx.addVenue(1, v2)
-	ctx.removeVenue(1, v2)
+	ctx.shiftVenue(1, v2, 1)
+	ctx.shiftVenue(1, v2, -1)
 
 	// The frozen base is untouched until the fold.
 	if got := m.ps.get(v1, 3); got != 2 {
@@ -155,22 +161,38 @@ func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
 	}
 }
 
-// TestGatherMatchesPsi: the per-tweet gather must resolve, for every
-// candidate city, exactly the value the per-candidate psi probe returns
-// — bit for bit, with and without pending overlay deltas. This is the
-// identity the store-on tweet kernel substitutes into Eq. 9.
+// gatheredPsi is ψ̂_l(v) for the venue of ctx's last gatherPsi call, as
+// the gather scratch serves it (own overlay deltas included on both the
+// count and the sum side).
+func gatheredPsi(ctx *sweepCtx, l gazetteer.CityID) float64 {
+	m := ctx.m
+	var cnt float64
+	if cell := &ctx.gcells[l]; cell.stamp == ctx.gepoch {
+		cnt = cell.cnt
+	}
+	sum := m.venueSum[l]
+	if ctx.ovl != nil {
+		sum += ctx.ovlSum[l]
+	}
+	return m.psiFrom(cnt, sum)
+}
+
+// TestGatherMatchesPsi: the gather must resolve, for every candidate
+// city, exactly the value the per-candidate psi probe returns — bit for
+// bit, with and without pending overlay deltas. This is the identity the
+// tweet kernel's batch cache relies on.
 func TestGatherMatchesPsi(t *testing.T) {
 	const V, L = 40, 50
 	m, ctx := psiFixture(V, L)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 600; i++ {
-		m.addVenue(gazetteer.CityID(rng.Intn(L)), gazetteer.VenueID(rng.Intn(V)))
+		m.shiftVenue(gazetteer.CityID(rng.Intn(L)), gazetteer.VenueID(rng.Intn(V)), 1)
 	}
 	seq := &sweepCtx{m: m} // sequential reader: no overlay
 	for v := 0; v < V; v++ {
 		seq.gatherPsi(gazetteer.VenueID(v))
 		for l := 0; l < L; l++ {
-			got := seq.gatheredPsi(gazetteer.CityID(l))
+			got := gatheredPsi(seq, gazetteer.CityID(l))
 			want := seq.psi(gazetteer.CityID(l), gazetteer.VenueID(v))
 			if got != want {
 				t.Fatalf("seq gather (v=%d, l=%d): %v != psi %v", v, l, got, want)
@@ -182,15 +204,15 @@ func TestGatherMatchesPsi(t *testing.T) {
 		l := gazetteer.CityID(rng.Intn(L))
 		v := gazetteer.VenueID(rng.Intn(V))
 		if m.ps.get(v, l)+ctx.ovl.get(v, l) > 0 && rng.Intn(2) == 0 {
-			ctx.removeVenue(l, v)
+			ctx.shiftVenue(l, v, -1)
 		} else {
-			ctx.addVenue(l, v)
+			ctx.shiftVenue(l, v, 1)
 		}
 	}
 	for v := 0; v < V; v++ {
 		ctx.gatherPsi(gazetteer.VenueID(v))
 		for l := 0; l < L; l++ {
-			got := ctx.gatheredPsi(gazetteer.CityID(l))
+			got := gatheredPsi(ctx, gazetteer.CityID(l))
 			want := ctx.psi(gazetteer.CityID(l), gazetteer.VenueID(v))
 			if got != want {
 				t.Fatalf("overlay gather (v=%d, l=%d): %v != psi %v", v, l, got, want)
@@ -201,22 +223,15 @@ func TestGatherMatchesPsi(t *testing.T) {
 
 // benchPsiWorld populates a model skeleton with a realistic count shape:
 // every venue concentrated on a handful of cities, as sampling produces.
-func benchPsiWorld(b *testing.B, psi PsiStoreMode) (*Model, []gazetteer.CityID) {
-	b.Helper()
+func benchPsiWorld() (*Model, []gazetteer.CityID) {
 	const V, L = 600, 250
-	m := &Model{cfg: Config{Delta: 0.01, PsiStore: psi}, numVenues: V,
-		deltaTotal: 0.01 * float64(V), venueSum: make([]float64, L)}
-	if psi == PsiStoreOn {
-		m.ps = newPsiStore(V)
-	} else {
-		m.venueCount = make([]map[gazetteer.VenueID]float64, L)
-	}
+	m := psiModel(V, L)
 	rng := rand.New(rand.NewSource(3))
 	for v := 0; v < V; v++ {
 		for i, n := 0, 2+rng.Intn(6); i < n; i++ {
 			l := gazetteer.CityID(rng.Intn(L))
 			for c, reps := 0, 1+rng.Intn(4); c < reps; c++ {
-				m.addVenue(l, gazetteer.VenueID(v))
+				m.shiftVenue(l, gazetteer.VenueID(v), 1)
 			}
 		}
 	}
@@ -228,50 +243,32 @@ func benchPsiWorld(b *testing.B, psi PsiStoreMode) (*Model, []gazetteer.CityID) 
 }
 
 // BenchmarkPsiLookup measures one tweet update's worth of ψ̂ resolution —
-// all 40 candidate counts for one venue — across the store × read-path
-// matrix: city-major maps vs the venue-major store, direct reads vs
-// reads through a worker overlay carrying pending deltas. The venue
-// store pays one row gather then array reads; the map path pays one map
-// probe per candidate (two with the overlay).
+// all 40 candidate counts for one venue — as one row gather then array
+// reads, directly and through a worker overlay carrying pending deltas.
 func BenchmarkPsiLookup(b *testing.B) {
-	for _, mode := range []PsiStoreMode{PsiStoreOff, PsiStoreOn} {
-		for _, overlay := range []bool{false, true} {
-			read := "direct"
-			if overlay {
-				read = "overlay"
-			}
-			b.Run(fmt.Sprintf("psi=%s/read=%s", mode, read), func(b *testing.B) {
-				m, cand := benchPsiWorld(b, mode)
-				ctx := &sweepCtx{m: m}
-				if overlay {
-					if mode == PsiStoreOn {
-						ctx.ovl = newPsiStore(m.numVenues)
-						ctx.ovlSum = make([]float64, len(m.venueSum))
-					} else {
-						ctx.vdelta = make(map[uint64]float64, 256)
-						ctx.vsum = map[gazetteer.CityID]float64{}
-					}
-					for v := 0; v < m.numVenues; v += 3 {
-						ctx.addVenue(cand[v%len(cand)], gazetteer.VenueID(v))
-					}
-				}
-				b.ResetTimer()
-				var sink float64
-				for n := 0; n < b.N; n++ {
-					v := gazetteer.VenueID(n % m.numVenues)
-					if m.ps != nil {
-						ctx.gatherPsi(v)
-						for _, l := range cand {
-							sink += ctx.gatheredPsi(l)
-						}
-					} else {
-						for _, l := range cand {
-							sink += ctx.psi(l, v)
-						}
-					}
-				}
-				_ = sink
-			})
+	for _, overlay := range []bool{false, true} {
+		read := "direct"
+		if overlay {
+			read = "overlay"
 		}
+		b.Run("read="+read, func(b *testing.B) {
+			m, cand := benchPsiWorld()
+			ctx := &sweepCtx{m: m}
+			if overlay {
+				ctx.ensureOverlay()
+				for v := 0; v < m.numVenues; v += 3 {
+					ctx.shiftVenue(cand[v%len(cand)], gazetteer.VenueID(v), 1)
+				}
+			}
+			b.ResetTimer()
+			var sink float64
+			for n := 0; n < b.N; n++ {
+				ctx.gatherPsi(gazetteer.VenueID(n % m.numVenues))
+				for _, l := range cand {
+					sink += gatheredPsi(ctx, l)
+				}
+			}
+			_ = sink
+		})
 	}
 }

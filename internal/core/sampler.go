@@ -60,14 +60,9 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 	e := m.corpus.Edges[s]
 	candI := m.cands.cand[e.From]
 	candJ := m.cands.cand[e.To]
-	gammaI := m.cands.gamma[e.From]
-	gammaJ := m.cands.gamma[e.To]
 	phiI := m.phi[e.From]
 	phiJ := m.phi[e.To]
-	var pgI, pgJ []float64
-	if m.fused {
-		pgI, pgJ = m.pg[e.From], m.pg[e.To]
-	}
+	pgI, pgJ := m.pg[e.From], m.pg[e.To]
 	counted := !m.mu[s]
 
 	// --- x_s (follower side, Eq. 7) ---
@@ -75,12 +70,10 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 	if counted {
 		phiI[xi]--
 		m.phiSum[e.From]--
-		if pgI != nil {
-			pgI[xi]--
-		}
+		pgI[xi]--
 	}
 	yLoc := candJ[m.ey[s]]
-	xi = m.drawEdgeSide(ctx, candI, phiI, gammaI, pgI, yLoc, counted)
+	xi = m.drawEdgeSide(ctx, candI, pgI, yLoc, counted)
 	if xi < 0 {
 		xi = int(m.ex[s])
 	}
@@ -88,9 +81,7 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 	if counted {
 		phiI[xi]++
 		m.phiSum[e.From]++
-		if pgI != nil {
-			pgI[xi]++
-		}
+		pgI[xi]++
 	}
 
 	// --- y_s (friend side, Eq. 8) ---
@@ -98,12 +89,10 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 	if counted {
 		phiJ[yi]--
 		m.phiSum[e.To]--
-		if pgJ != nil {
-			pgJ[yi]--
-		}
+		pgJ[yi]--
 	}
 	xLoc := candI[xi]
-	yi = m.drawEdgeSide(ctx, candJ, phiJ, gammaJ, pgJ, xLoc, counted)
+	yi = m.drawEdgeSide(ctx, candJ, pgJ, xLoc, counted)
 	if yi < 0 {
 		yi = int(m.ey[s])
 	}
@@ -111,9 +100,7 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 	if counted {
 		phiJ[yi]++
 		m.phiSum[e.To]++
-		if pgJ != nil {
-			pgJ[yi]++
-		}
+		pgJ[yi]++
 	}
 
 	// --- µ_s (Eq. 5) ---
@@ -141,89 +128,40 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 		phiJ[yi]--
 		m.phiSum[e.From]--
 		m.phiSum[e.To]--
-		if pgI != nil {
-			pgI[xi]--
-			pgJ[yi]--
-		}
+		pgI[xi]--
+		pgJ[yi]--
 	} else {
 		// 1 → 0: the assignments start counting.
 		phiI[xi]++
 		phiJ[yi]++
 		m.phiSum[e.From]++
 		m.phiSum[e.To]++
-		if pgI != nil {
-			pgI[xi]++
-			pgJ[yi]++
-		}
+		pgI[xi]++
+		pgJ[yi]++
 	}
 }
 
-// drawEdgeSide fills one side's per-variable conditional (Eq. 7/8) and
-// draws the new candidate index, or -1 when the mass is zero (the
-// caller keeps the old assignment). On the fused path the fill loop
-// reads the maintained ϕ+γ mirror, emits running prefix sums, and one
-// uniform is inverted over them (randutil.InvertCum); on the reference
-// path raw weights go through randutil.Categorical. Both accumulate the
-// per-candidate expressions in index order and consume one uniform iff
-// the total is positive, which keeps the two chains coupled draw for
-// draw.
-func (m *Model) drawEdgeSide(ctx *sweepCtx, cand []gazetteer.CityID, phi, gamma, pg []float64, opp gazetteer.CityID, counted bool) int {
-	if m.fused {
-		cum := ctx.arena.cumBuf(len(cand))
-		m.edgeCum(cum, cand, pg, opp, counted)
-		return randutil.InvertCum(ctx.rng, cum)
-	}
-	weights := ctx.arena.buf(len(cand))
-	m.edgeWeights(weights, cand, phi, gamma, opp, counted)
-	return randutil.Categorical(ctx.rng, weights)
+// drawEdgeSide draws one side's new candidate index from its
+// per-variable conditional (Eq. 7/8), or -1 when the mass is zero (the
+// caller keeps the old assignment): edgeCum fills the running prefix
+// sums and one uniform is inverted over them (randutil.InvertCum).
+func (m *Model) drawEdgeSide(ctx *sweepCtx, cand []gazetteer.CityID, pg []float64, opp gazetteer.CityID, counted bool) int {
+	cum := ctx.arena.cumBuf(len(cand))
+	m.edgeCum(cum, cand, pg, opp, counted)
+	return randutil.InvertCum(ctx.rng, cum)
 }
 
-// edgeWeights fills one side's per-variable conditional: the profile
-// factor ϕ+γ, times the distance factor to the fixed opposite endpoint
-// when the edge counts. The three loop variants compute the same
-// expression; they differ only in where d^α comes from — the dense bin
-// row of the opposite city (one in-row load per candidate), the
-// fallback table (haversine + memoized pow), or the exact path. The
-// candidate order and the single downstream Categorical draw are
-// identical in all three, which is what keeps a DistTable chain coupled
-// to the exact chain.
-func (m *Model) edgeWeights(weights []float64, cand []gazetteer.CityID, phi, gamma []float64, opp gazetteer.CityID, counted bool) {
-	if !counted {
-		for c := range cand {
-			weights[c] = phi[c] + gamma[c]
-		}
-		return
-	}
-	if dt := m.dt; dt != nil {
-		if row := dt.row(opp); row != nil {
-			pt := dt.powTab
-			for c, l := range cand {
-				weights[c] = (phi[c] + gamma[c]) * pt[row[l]]
-			}
-		} else if prow := dt.powRow(opp); prow != nil {
-			// Sparse pow row of the fixed opposite endpoint: logMiles is
-			// symmetric, so prow[l] is the same value pow(l, opp) yields.
-			for c, l := range cand {
-				weights[c] = (phi[c] + gamma[c]) * prow[l]
-			}
-		} else {
-			for c, l := range cand {
-				weights[c] = (phi[c] + gamma[c]) * dt.pow(l, opp)
-			}
-		}
-		return
-	}
-	for c := range cand {
-		weights[c] = (phi[c] + gamma[c]) * m.dc.powDist(cand[c], opp, m.alpha)
-	}
-}
-
-// edgeCum is the fused twin of edgeWeights: the same three loop
-// variants, but reading the maintained ϕ+γ mirror (one load where the
-// reference re-adds two) and accumulating a running total, storing the
-// prefix instead of the raw weight — folding Categorical's summation
-// pass into the fill. The weights are non-negative, so adding them
-// unconditionally matches Categorical's positives-only sum (x+0 is x).
+// edgeCum fills one side's per-variable conditional as running prefix
+// sums: the profile factor ϕ+γ (read from the maintained mirror), times
+// the distance factor to the fixed opposite endpoint when the edge
+// counts. The loop variants compute the same expression; they differ
+// only in where d^α comes from — the dense bin row of the opposite city
+// (one in-row load per candidate), its sparse pow row above the dense
+// ceiling, or the exact path. The candidate order and the single
+// downstream inversion are identical in all of them, which is what keeps
+// a DistTable chain coupled to the exact chain. The weights are
+// non-negative, so adding them unconditionally matches Categorical's
+// positives-only sum (x+0 is x).
 func (m *Model) edgeCum(cum []float64, cand []gazetteer.CityID, pg []float64, opp gazetteer.CityID, counted bool) {
 	// Pin the parallel slices to the candidate length so the loops run
 	// bounds-check-free (pg/cum are allocated per candidate set).
@@ -244,14 +182,12 @@ func (m *Model) edgeCum(cum []float64, cand []gazetteer.CityID, pg []float64, op
 				total += pg[c] * pt[row[l]]
 				cum[c] = total
 			}
-		} else if prow := dt.powRow(opp); prow != nil {
+		} else {
+			// Sparse pow row of the fixed opposite endpoint: logMiles is
+			// symmetric, so prow[l] is the same value pow(l, opp) yields.
+			prow := dt.powRow(opp)
 			for c, l := range cand {
 				total += pg[c] * prow[l]
-				cum[c] = total
-			}
-		} else {
-			for c, l := range cand {
-				total += pg[c] * dt.pow(l, opp)
 				cum[c] = total
 			}
 		}
@@ -286,10 +222,8 @@ func (m *Model) updateEdgeBlocked(ctx *sweepCtx, s int) {
 		phiJ[m.ey[s]]--
 		m.phiSum[e.From]--
 		m.phiSum[e.To]--
-		if m.pg != nil {
-			m.pg[e.From][m.ex[s]]--
-			m.pg[e.To][m.ey[s]]--
-		}
+		m.pg[e.From][m.ex[s]]--
+		m.pg[e.To][m.ey[s]]--
 	}
 
 	nI, nJ := len(candI), len(candJ)
@@ -310,25 +244,13 @@ func (m *Model) updateEdgeBlocked(ctx *sweepCtx, s int) {
 	if m.curIter <= m.cfg.NoiseBurnIn {
 		w1 = 0
 	}
-	// The fused path stores the running prefix sums in pair[] instead of
-	// the raw products; the additions are the same terms in the same
-	// row-major order, so pairSum — and the w0 Bernoulli below — is
-	// bit-identical across the knob.
+	// pair[] holds the running prefix sums of the joint weights in
+	// row-major order, ready for a single inversion.
 	var pairSum float64
-	if m.fused {
-		for i := 0; i < nI; i++ {
-			for j := 0; j < nJ; j++ {
-				pairSum += wx[i] * wy[j] * m.dc.powDist(candI[i], candJ[j], m.alpha)
-				pair[i*nJ+j] = pairSum
-			}
-		}
-	} else {
-		for i := 0; i < nI; i++ {
-			for j := 0; j < nJ; j++ {
-				w := wx[i] * wy[j] * m.dc.powDist(candI[i], candJ[j], m.alpha)
-				pair[i*nJ+j] = w
-				pairSum += w
-			}
+	for i := 0; i < nI; i++ {
+		for j := 0; j < nJ; j++ {
+			pairSum += wx[i] * wy[j] * m.dc.powDist(candI[i], candJ[j], m.alpha)
+			pair[i*nJ+j] = pairSum
 		}
 	}
 	w0 := (1 - m.cfg.RhoF) * m.beta * pairSum / (denI * denJ)
@@ -348,12 +270,7 @@ func (m *Model) updateEdgeBlocked(ctx *sweepCtx, s int) {
 		return
 	}
 	m.mu[s] = false
-	var p int
-	if m.fused {
-		p = randutil.InvertCum(ctx.rng, pair)
-	} else {
-		p = randutil.Categorical(ctx.rng, pair)
-	}
+	p := randutil.InvertCum(ctx.rng, pair)
 	if p < 0 {
 		p = int(m.ex[s])*nJ + int(m.ey[s])
 	}
@@ -362,27 +279,19 @@ func (m *Model) updateEdgeBlocked(ctx *sweepCtx, s int) {
 	phiJ[m.ey[s]]++
 	m.phiSum[e.From]++
 	m.phiSum[e.To]++
-	if m.pg != nil {
-		m.pg[e.From][m.ex[s]]++
-		m.pg[e.To][m.ey[s]]++
-	}
+	m.pg[e.From][m.ex[s]]++
+	m.pg[e.To][m.ey[s]]++
 }
 
 // drawBlockedNoise draws both endpoints' phantom assignments on the
 // blocked kernels' noise branch. The raw wx/wy weights stay live (the
-// joint pass consumed them as factors), so the fused path runs
-// randutil.FusedCategorical — one prefix pass plus a search per side,
-// sharing the arena's prefix buffer — instead of Categorical's
-// sum-and-scan. Draw semantics and RNG consumption are identical.
+// joint pass consumed them as factors), so each side runs
+// randutil.FusedCategorical — one prefix pass plus a search, sharing the
+// arena's prefix buffer.
 func (m *Model) drawBlockedNoise(ctx *sweepCtx, wx, wy []float64) (xi, yi int) {
-	if m.fused {
-		cum := ctx.arena.cumBuf(max(len(wx), len(wy)))
-		xi = randutil.FusedCategorical(ctx.rng, wx, cum)
-		yi = randutil.FusedCategorical(ctx.rng, wy, cum)
-		return xi, yi
-	}
-	xi = randutil.Categorical(ctx.rng, wx)
-	yi = randutil.Categorical(ctx.rng, wy)
+	cum := ctx.arena.cumBuf(max(len(wx), len(wy)))
+	xi = randutil.FusedCategorical(ctx.rng, wx, cum)
+	yi = randutil.FusedCategorical(ctx.rng, wy, cum)
 	return xi, yi
 }
 
@@ -405,8 +314,8 @@ func (m *Model) drawBlockedNoise(ctx *sweepCtx, wx, wy []float64) (xi, yi int) {
 //
 // Sampling stays draw-for-draw aligned with the exact kernel: the same
 // Bernoulli, and a single uniform inverted over the rows' cumulative
-// masses and then within the chosen row — the row-major order the exact
-// kernel's flat Categorical over pair[] scans. Only the weight values
+// masses and then within the chosen row — the row-major order of the
+// exact kernel's flat inversion over pair[]. Only the weight values
 // differ, by quantization, so a DistTable chain shadows the exact one.
 func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 	e := m.corpus.Edges[s]
@@ -422,10 +331,8 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 		phiJ[m.ey[s]]--
 		m.phiSum[e.From]--
 		m.phiSum[e.To]--
-		if m.pg != nil {
-			m.pg[e.From][m.ex[s]]--
-			m.pg[e.To][m.ey[s]]--
-		}
+		m.pg[e.From][m.ex[s]]--
+		m.pg[e.To][m.ey[s]]--
 	}
 
 	nI, nJ := len(candI), len(candJ)
@@ -444,54 +351,28 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 	}
 	sup := supJ[:kJ]
 
+	// Beside each raw row mass (still needed for the within-row residual
+	// below), store the running pairSum — the row prefix the inversion
+	// binary-searches instead of scanning.
 	pt := m.dt.powTab
+	rowCum := ctx.arena.rowCumBuf(nI)
 	var pairSum float64
-	var rowCum []float64
-	if m.fused {
-		// Fused: beside each raw row mass (still needed for the
-		// within-row residual below), store the running pairSum — the
-		// row prefix the inversion binary-searches instead of scanning.
-		rowCum = ctx.arena.rowCumBuf(nI)
-		for i := 0; i < nI; i++ {
-			si := ec.gRow[i]
-			if row := m.dt.row(candI[i]); row != nil {
-				for _, j := range sup {
-					si += phiJ[j] * pt[row[candJ[j]]]
-				}
-			} else if prow := m.dt.powRow(candI[i]); prow != nil {
-				for _, j := range sup {
-					si += phiJ[j] * prow[candJ[j]]
-				}
-			} else {
-				for _, j := range sup {
-					si += phiJ[j] * m.dt.pow(candI[i], candJ[j])
-				}
+	for i := 0; i < nI; i++ {
+		si := ec.gRow[i]
+		if row := m.dt.row(candI[i]); row != nil {
+			for _, j := range sup {
+				si += phiJ[j] * pt[row[candJ[j]]]
 			}
-			rm := wx[i] * si
-			rowMass[i] = rm
-			pairSum += rm
-			rowCum[i] = pairSum
-		}
-	} else {
-		for i := 0; i < nI; i++ {
-			si := ec.gRow[i]
-			if row := m.dt.row(candI[i]); row != nil {
-				for _, j := range sup {
-					si += phiJ[j] * pt[row[candJ[j]]]
-				}
-			} else if prow := m.dt.powRow(candI[i]); prow != nil {
-				for _, j := range sup {
-					si += phiJ[j] * prow[candJ[j]]
-				}
-			} else {
-				for _, j := range sup {
-					si += phiJ[j] * m.dt.pow(candI[i], candJ[j])
-				}
+		} else {
+			prow := m.dt.powRow(candI[i])
+			for _, j := range sup {
+				si += phiJ[j] * prow[candJ[j]]
 			}
-			rm := wx[i] * si
-			rowMass[i] = rm
-			pairSum += rm
 		}
+		rm := wx[i] * si
+		rowMass[i] = rm
+		pairSum += rm
+		rowCum[i] = pairSum
 	}
 	denI := m.phiSum[e.From] + m.cands.gammaSum[e.From]
 	denJ := m.phiSum[e.To] + m.cands.gammaSum[e.To]
@@ -517,46 +398,32 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 	m.mu[s] = false
 	if pairSum > 0 {
 		// Row-major hierarchical inversion of one uniform: rows by their
-		// cumulative masses, then columns within the chosen row. Slack
-		// from float rounding falls to the last row/column, mirroring
-		// randutil.Categorical's fallback. The fused path picks the row
-		// with randutil.SearchCum over the stored prefix sums; the
-		// reference path scans, accumulating the identical prefixes, so
-		// both select the same row and leave the same residual.
+		// cumulative masses (randutil.SearchCum over the stored prefix
+		// sums), then columns within the chosen row. Slack from float
+		// rounding falls to the last row/column, mirroring
+		// randutil.Categorical's fallback.
 		u := ctx.rng.Float64() * pairSum
 		xi := nI - 1
-		if m.fused {
-			if i := randutil.SearchCum(rowCum, u); i >= 0 {
-				xi = i
-			}
-			u -= rowCum[xi] - rowMass[xi] // residual uniform within row xi
-		} else {
-			var acc float64
-			for i := 0; i < nI; i++ {
-				acc += rowMass[i]
-				if u < acc {
-					xi = i
-					break
-				}
-			}
-			u -= acc - rowMass[xi] // residual uniform within row xi
+		if i := randutil.SearchCum(rowCum, u); i >= 0 {
+			xi = i
 		}
+		u -= rowCum[xi] - rowMass[xi] // residual uniform within row xi
 		yi := nJ - 1
 		wxi := wx[xi]
 		row := m.dt.row(candI[xi])
-		prow := m.dt.powRow(candI[xi])
-		// The within-row column pass is already fused in both modes: one
-		// loop computing each product, accumulating, and early-exiting
-		// at the inversion point.
+		var prow []float64
+		if row == nil {
+			prow = m.dt.powRow(candI[xi])
+		}
+		// The within-row column pass computes each product, accumulates,
+		// and early-exits at the inversion point.
 		acc := 0.0
 		for j := 0; j < nJ; j++ {
 			var d float64
 			if row != nil {
 				d = pt[row[candJ[j]]]
-			} else if prow != nil {
-				d = prow[candJ[j]]
 			} else {
-				d = m.dt.pow(candI[xi], candJ[j])
+				d = prow[candJ[j]]
 			}
 			acc += wxi * wy[j] * d
 			if u < acc {
@@ -570,196 +437,96 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 	phiJ[m.ey[s]]++
 	m.phiSum[e.From]++
 	m.phiSum[e.To]++
-	if m.pg != nil {
-		m.pg[e.From][m.ex[s]]++
-		m.pg[e.To][m.ey[s]]++
-	}
+	m.pg[e.From][m.ex[s]]++
+	m.pg[e.To][m.ey[s]]++
 }
 
 // updateTweet resamples z_k (Eq. 9) and ν_k (Eq. 6) for one tweeting
-// relationship, with the same counts-only-while-location-based convention
-// as updateEdge. This is the reference kernel over the city-major map
-// layout; with the venue-major store on, updateTweetStore takes over
-// (same conditionals, same draws, fingerprint-locked to this path).
+// relationship, with the same counts-only-while-location-based
+// convention as updateEdge. The per-candidate venue counts come from the
+// per-author batch cache (tweetbatch.go) instead of a per-draw gather,
+// and the Eq. 6/9 exclusion of the current assignment is applied
+// arithmetically (cnt−1, sum−1 — exact, the counts are integer-valued
+// floats) to the one candidate index it affects: candidate cities are
+// unique within a user's set, so only the current assignment's index
+// carries the excluded city. The store is written only when the
+// assignment actually moves.
 func (m *Model) updateTweet(ctx *sweepCtx, k int) {
-	if m.batched {
-		m.updateTweetStoreBatched(ctx, k)
-		return
-	}
-	if m.ps != nil {
-		m.updateTweetStore(ctx, k)
-		return
-	}
 	t := m.corpus.Tweets[k]
-	cand := m.cands.cand[t.User]
-	gamma := m.cands.gamma[t.User]
-	phi := m.phi[t.User]
-	var pg []float64
-	if m.fused {
-		pg = m.pg[t.User]
-	}
+	u := t.User
+	cand := m.cands.cand[u]
+	pg := m.pg[u]
+	phi := m.phi[u]
 	counted := !m.nu[k]
+
+	b := &ctx.batch
+	if b.iter != m.curIter || b.user != int32(u) {
+		b.resetFor(int32(u), m.curIter)
+	}
 
 	// --- z_k (Eq. 9) ---
 	zi := int(m.tz[k])
+	exCity := cand[zi]
 	if counted {
 		phi[zi]--
-		m.phiSum[t.User]--
-		if pg != nil {
-			pg[zi]--
-		}
-		ctx.removeVenue(cand[zi], t.Venue)
+		m.phiSum[u]--
+		pg[zi]--
 	}
-	if m.fused {
-		// Fused: the fill loop accumulates the prefix as it resolves
-		// each candidate's ψ̂ — reading the maintained ϕ+γ mirror and,
-		// when sequential, the maintained reciprocal — and one uniform
-		// inverts it. The counted branch is hoisted out of the loop.
-		cum := ctx.arena.cumBuf(len(cand))
-		var total float64
-		if counted && ctx.ovl == nil && ctx.vdelta == nil {
-			// Sequential: the current assignment is already excluded by
-			// the surrounding remove/add churn, so ψ̂ is the plain
-			// smoothed count.
+	cum := ctx.arena.cumBuf(len(cand))
+	cum = cum[:len(cand)]
+	pgv := pg[:len(cand)]
+	var total float64
+	var e *batchEntry
+	if counted {
+		// ψ̂ computed inline from the cached counts: the maintained
+		// reciprocal multiply off-overlay, the psiFrom division
+		// on-overlay (the sum carries the worker's own deltas), and
+		// cnt−1/sum−1 at the excluded index zi.
+		e = b.entryFor(ctx, t.Venue, cand)
+		cnt := e.cnt[:len(cand)]
+		if ctx.ovl == nil {
 			rs, delta := m.venueRSum, m.cfg.Delta
 			for c, l := range cand {
-				total += pg[c] * ((m.venueCnt(l, t.Venue) + delta) * rs[l])
-				cum[c] = total
-			}
-		} else if counted {
-			for c := range cand {
-				total += pg[c] * ctx.psi(cand[c], t.Venue)
+				var p float64
+				if c != zi {
+					p = (cnt[c] + delta) * rs[l]
+				} else {
+					p = m.psiFrom(cnt[c]-1, m.venueSum[l]-1)
+				}
+				total += pgv[c] * p
 				cum[c] = total
 			}
 		} else {
-			for c := range cand {
-				total += pg[c]
+			ovlSum := ctx.ovlSum
+			for c, l := range cand {
+				cc := cnt[c]
+				sum := m.venueSum[l] + ovlSum[l]
+				if c == zi {
+					cc--
+					sum--
+				}
+				total += pgv[c] * m.psiFrom(cc, sum)
 				cum[c] = total
 			}
 		}
-		zi = randutil.InvertCum(ctx.rng, cum)
 	} else {
-		weights := ctx.arena.buf(len(cand))
-		for c := range cand {
-			w := phi[c] + gamma[c]
-			if counted {
-				w *= ctx.psi(cand[c], t.Venue)
-			}
-			weights[c] = w
-		}
-		zi = randutil.Categorical(ctx.rng, weights)
-	}
-	if zi < 0 {
-		zi = int(m.tz[k])
-	}
-	m.tz[k] = uint16(zi)
-	if counted {
-		phi[zi]++
-		m.phiSum[t.User]++
-		if pg != nil {
-			pg[zi]++
-		}
-		ctx.addVenue(cand[zi], t.Venue)
-	}
-
-	// --- ν_k (Eq. 6) ---
-	if m.cfg.RhoT <= 0 || m.curIter <= m.cfg.NoiseBurnIn {
-		return
-	}
-	z := cand[zi]
-	if counted {
-		ctx.removeVenue(z, t.Venue) // exclude self before computing ψ̂
-	}
-	thetaZ := m.theta(t.User, zi, counted)
-	p1 := m.cfg.RhoT * m.tr[t.Venue]
-	p0 := (1 - m.cfg.RhoT) * thetaZ * ctx.psi(z, t.Venue)
-	noisy := randutil.Bernoulli(ctx.rng, p1/(p0+p1))
-	if counted {
-		ctx.addVenue(z, t.Venue)
-	}
-	if noisy == m.nu[k] {
-		return
-	}
-	m.nu[k] = noisy
-	if noisy {
-		phi[zi]--
-		m.phiSum[t.User]--
-		ctx.removeVenue(z, t.Venue)
-	} else {
-		phi[zi]++
-		m.phiSum[t.User]++
-		ctx.addVenue(z, t.Venue)
-	}
-	if pg != nil {
-		if noisy {
-			pg[zi]--
-		} else {
-			pg[zi]++
+		for c := range pgv {
+			total += pgv[c]
+			cum[c] = total
 		}
 	}
-}
-
-// updateTweetStore is the venue-major form of the tweet kernel, active
-// when Config.PsiStore is on. It computes the exact expressions of the
-// reference kernel — same conditionals, same two draws, identical RNG
-// consumption — with two structural savings:
-//
-//   - the per-candidate ψ̂ probes become one gather over the venue's row
-//     (or direct row probes when the row is wider than the candidate
-//     set — psiGatherWorthwhile; either way the same counts);
-//   - the remove-read-add churn around the exclusions goes away. The
-//     reference excludes the current assignment by mutating the counts
-//     and reading them back; here the exclusion is applied
-//     arithmetically to the one city it affects (cnt−1, sum−1 — exact,
-//     the counts are integer-valued floats), and the store is written
-//     only when the assignment actually moves. Final counts and every
-//     value fed to a draw are bit-identical to the reference; the
-//     golden matrix locks this.
-func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
-	t := m.corpus.Tweets[k]
-	cand := m.cands.cand[t.User]
-	gamma := m.cands.gamma[t.User]
-	phi := m.phi[t.User]
-	var pg []float64
-	if m.fused {
-		pg = m.pg[t.User]
-	}
-	counted := !m.nu[k]
-
-	// --- z_k (Eq. 9) ---
-	zi := int(m.tz[k])
-	exCity := cand[zi] // the excluded assignment's city, when counted
-	if counted {
-		phi[zi]--
-		m.phiSum[t.User]--
-		if pg != nil {
-			pg[zi]--
-		}
-	}
-	var next int
-	gathered := false
-	if m.fused {
-		cum := ctx.arena.cumBuf(len(cand))
-		gathered = m.tweetStoreCum(ctx, cum, t.Venue, cand, pg, counted, exCity)
-		next = randutil.InvertCum(ctx.rng, cum)
-	} else {
-		weights := ctx.arena.buf(len(cand))
-		m.tweetStoreWeights(ctx, weights, t.Venue, cand, gamma, phi, counted, exCity)
-		next = randutil.Categorical(ctx.rng, weights)
-	}
+	next := randutil.InvertCum(ctx.rng, cum)
 	if next < 0 {
 		next = zi
 	}
 	m.tz[k] = uint16(next)
 	if counted {
 		phi[next]++
-		m.phiSum[t.User]++
-		if pg != nil {
-			pg[next]++
-		}
+		m.phiSum[u]++
+		pg[next]++
 		if cand[next] != exCity {
-			ctx.removeVenue(exCity, t.Venue)
-			ctx.addVenue(cand[next], t.Venue)
+			b.shift(ctx, cand, zi, t.Venue, -1)
+			b.shift(ctx, cand, next, t.Venue, 1)
 		}
 	}
 	zi = next
@@ -770,28 +537,21 @@ func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
 	}
 	z := cand[zi]
 	var psiZ float64
-	switch {
-	case counted && gathered && ctx.ovl == nil:
-		// The fused fill's gather is still current for this venue, so
-		// z's count comes from the epoch-stamped scratch instead of a
-		// fresh row probe. The gather predates the post-draw store
-		// write, so a moved assignment adds its own observation back
-		// before the self-exclusion; the resulting cnt/sum pair — and
-		// hence the division — is bit-identical to psiExcl's.
-		var cnt float64
-		if cell := &ctx.gcells[z]; cell.stamp == ctx.gepoch {
-			cnt = cell.cnt
+	if counted {
+		// Exclude self against the z-step's (since repaired) entry:
+		// e.cnt[zi] already includes the moved-in assignment, so −1 on
+		// it is the post-move count with this observation removed. The
+		// pointer is still valid — only entryFor recycles slots, and
+		// none ran since the fill.
+		sum := m.venueSum[z]
+		if ctx.ovl != nil {
+			sum += ctx.ovlSum[z]
 		}
-		if z != exCity {
-			cnt++
-		}
-		psiZ = m.psiFrom(cnt-1, m.venueSum[z]-1)
-	case counted:
-		psiZ = ctx.psiExcl(z, t.Venue, z) // exclude self
-	default:
+		psiZ = m.psiFrom(e.cnt[zi]-1, sum-1)
+	} else {
 		psiZ = ctx.psi(z, t.Venue)
 	}
-	thetaZ := m.theta(t.User, zi, counted)
+	thetaZ := b.theta(m, int32(u), zi, counted)
 	p1 := m.cfg.RhoT * m.tr[t.Venue]
 	p0 := (1 - m.cfg.RhoT) * thetaZ * psiZ
 	noisy := randutil.Bernoulli(ctx.rng, p1/(p0+p1))
@@ -801,164 +561,15 @@ func (m *Model) updateTweetStore(ctx *sweepCtx, k int) {
 	m.nu[k] = noisy
 	if noisy {
 		phi[zi]--
-		m.phiSum[t.User]--
-		ctx.removeVenue(z, t.Venue)
+		m.phiSum[u]--
+		pg[zi]--
+		b.shift(ctx, cand, zi, t.Venue, -1)
 	} else {
 		phi[zi]++
-		m.phiSum[t.User]++
-		ctx.addVenue(z, t.Venue)
+		m.phiSum[u]++
+		pg[zi]++
+		b.shift(ctx, cand, zi, t.Venue, 1)
 	}
-	if pg != nil {
-		if noisy {
-			pg[zi]--
-		} else {
-			pg[zi]++
-		}
-	}
-}
-
-// tweetStoreWeights fills the tweet-store kernel's per-candidate
-// conditional into weights — the reference path's raw-weight form,
-// unchanged from before the fused pipeline. The branches select the
-// cheapest exact way to resolve each candidate's ψ̂: a one-pass row
-// gather versus direct row probes (psiGatherWorthwhile), each split by
-// overlay presence so the inner loops carry no per-candidate calls.
-// The Eq. 6/9 exclusion of the current assignment is applied
-// arithmetically (cnt−1/sum−1) to the one city it affects.
-func (m *Model) tweetStoreWeights(ctx *sweepCtx, weights []float64, v gazetteer.VenueID, cand []gazetteer.CityID, gamma, phi []float64, counted bool, exCity gazetteer.CityID) {
-	switch {
-	case !counted:
-		for c := range cand {
-			weights[c] = phi[c] + gamma[c]
-		}
-	case ctx.psiGatherWorthwhile(v, len(cand)):
-		ctx.gatherPsi(v)
-		if ctx.ovl == nil {
-			gcells, ep := ctx.gcells, ctx.gepoch
-			for c, l := range cand {
-				var cnt float64
-				if cell := &gcells[l]; cell.stamp == ep {
-					cnt = cell.cnt
-				}
-				sum := m.venueSum[l]
-				if l == exCity {
-					cnt--
-					sum--
-				}
-				weights[c] = (phi[c] + gamma[c]) * m.psiFrom(cnt, sum)
-			}
-		} else {
-			for c, l := range cand {
-				weights[c] = (phi[c] + gamma[c]) * ctx.gatheredPsiExcl(l, exCity)
-			}
-		}
-	default:
-		// Probe path, split by overlay presence so the row probes inline
-		// into the loop (ctx.psiExcl's body, without the per-candidate
-		// call).
-		base := &m.ps.rows[v]
-		if ctx.ovl == nil {
-			for c, l := range cand {
-				cnt := base.get(int32(l))
-				sum := m.venueSum[l]
-				if l == exCity {
-					cnt--
-					sum--
-				}
-				weights[c] = (phi[c] + gamma[c]) * m.psiFrom(cnt, sum)
-			}
-		} else {
-			orow := &ctx.ovl.rows[v]
-			for c, l := range cand {
-				cnt := base.get(int32(l)) + orow.get(int32(l))
-				sum := m.venueSum[l] + ctx.ovlSum[l]
-				if l == exCity {
-					cnt--
-					sum--
-				}
-				weights[c] = (phi[c] + gamma[c]) * m.psiFrom(cnt, sum)
-			}
-		}
-	}
-}
-
-// tweetStoreCum is the fused twin of tweetStoreWeights: the same branch
-// structure and the same per-candidate expressions folded into a single
-// pass that accumulates the running prefix into cum, with the
-// overlay-free branches' per-candidate psiFrom division hoisted into
-// the maintained reciprocal (Model.venueRSum). The weights are
-// non-negative, so the unconditional additions match Categorical's
-// positives-only summation bit for bit. It reports whether the fill
-// gathered the venue's row, so the caller's ν-step can reuse the
-// still-current scratch instead of re-probing.
-func (m *Model) tweetStoreCum(ctx *sweepCtx, cum []float64, v gazetteer.VenueID, cand []gazetteer.CityID, pg []float64, counted bool, exCity gazetteer.CityID) (gathered bool) {
-	pg = pg[:len(cand)]
-	cum = cum[:len(cand)]
-	var total float64
-	switch {
-	case !counted:
-		for c := range cand {
-			total += pg[c]
-			cum[c] = total
-		}
-	case ctx.psiGatherWorthwhile(v, len(cand)):
-		gathered = true
-		ctx.gatherPsi(v)
-		if ctx.ovl == nil {
-			gcells, ep := ctx.gcells, ctx.gepoch
-			rs, delta := m.venueRSum, m.cfg.Delta
-			for c, l := range cand {
-				var cnt float64
-				if cell := &gcells[l]; cell.stamp == ep {
-					cnt = cell.cnt
-				}
-				var p float64
-				if l != exCity {
-					// Hoisted ψ̂: (cnt+δ)·rsum[l] — the maintained
-					// reciprocal in place of the per-candidate division.
-					p = (cnt + delta) * rs[l]
-				} else {
-					p = m.psiFrom(cnt-1, m.venueSum[l]-1)
-				}
-				total += pg[c] * p
-				cum[c] = total
-			}
-		} else {
-			for c, l := range cand {
-				total += pg[c] * ctx.gatheredPsiExcl(l, exCity)
-				cum[c] = total
-			}
-		}
-	default:
-		base := &m.ps.rows[v]
-		if ctx.ovl == nil {
-			rs, delta := m.venueRSum, m.cfg.Delta
-			for c, l := range cand {
-				cnt := base.get(int32(l))
-				var p float64
-				if l != exCity {
-					p = (cnt + delta) * rs[l]
-				} else {
-					p = m.psiFrom(cnt-1, m.venueSum[l]-1)
-				}
-				total += pg[c] * p
-				cum[c] = total
-			}
-		} else {
-			orow := &ctx.ovl.rows[v]
-			for c, l := range cand {
-				cnt := base.get(int32(l)) + orow.get(int32(l))
-				sum := m.venueSum[l] + ctx.ovlSum[l]
-				if l == exCity {
-					cnt--
-					sum--
-				}
-				total += pg[c] * m.psiFrom(cnt, sum)
-				cum[c] = total
-			}
-		}
-	}
-	return gathered
 }
 
 // Histogram binning shared by the initial data fit and the EM refits.

@@ -87,7 +87,7 @@ func buildShardPlan(c *dataset.Corpus, shards int, useF, useT bool) *shardPlan {
 }
 
 // staleOp is one deferred remote-side ϕ mutation of the stale boundary
-// protocol: phi[u][idx] += d (and phiSum[u], and the fused ϕ+γ mirror).
+// protocol: phi[u][idx] += d (and phiSum[u], and the ϕ+γ mirror).
 type staleOp struct {
 	u   dataset.UserID
 	idx int32
@@ -145,15 +145,7 @@ func (m *Model) sweepSharded() {
 				continue
 			}
 			if len(tweets) > 0 {
-				if m.ps != nil {
-					if ctx.ovl == nil {
-						ctx.ovl = newPsiStore(m.numVenues)
-						ctx.ovlSum = make([]float64, len(m.venueSum))
-					}
-				} else if ctx.vdelta == nil {
-					ctx.vdelta = make(map[uint64]float64, 256)
-					ctx.vsum = make(map[gazetteer.CityID]float64, 64)
-				}
+				ctx.ensureOverlay()
 			}
 			wg.Add(1)
 			go func(ctx *sweepCtx, edges, tweets []int32) {
@@ -243,16 +235,14 @@ func (m *Model) snapshotStalePhi() {
 
 // applyStaleOps applies every shard's deferred remote-side ϕ ops, in
 // shard order then op order — a fixed sequence, so the result is
-// deterministic. Ops are exact ±1 shifts; the fused ϕ+γ mirror moves in
+// deterministic. Ops are exact ±1 shifts; the ϕ+γ mirror moves in
 // lockstep as everywhere else.
 func (m *Model) applyStaleOps() {
 	for _, ctx := range m.shCtxs {
 		for _, op := range ctx.stale {
 			m.phi[op.u][op.idx] += op.d
 			m.phiSum[op.u] += op.d
-			if m.pg != nil {
-				m.pg[op.u][op.idx] += op.d
-			}
+			m.pg[op.u][op.idx] += op.d
 		}
 		ctx.stale = ctx.stale[:0]
 	}
@@ -271,13 +261,9 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	e := m.corpus.Edges[s]
 	candI := m.cands.cand[e.From]
 	candJ := m.cands.cand[e.To]
-	gammaI := m.cands.gamma[e.From]
 	gammaJ := m.cands.gamma[e.To]
 	phiI := m.phi[e.From]
-	var pgI []float64
-	if m.fused {
-		pgI = m.pg[e.From]
-	}
+	pgI := m.pg[e.From]
 	snap := m.stalePhi[e.To]
 	snapSum := m.staleSums[e.To]
 	counted := !m.mu[s]
@@ -287,12 +273,10 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	if counted {
 		phiI[xi]--
 		m.phiSum[e.From]--
-		if pgI != nil {
-			pgI[xi]--
-		}
+		pgI[xi]--
 	}
 	yLoc := candJ[m.ey[s]]
-	xi = m.drawEdgeSide(ctx, candI, phiI, gammaI, pgI, yLoc, counted)
+	xi = m.drawEdgeSide(ctx, candI, pgI, yLoc, counted)
 	if xi < 0 {
 		xi = int(m.ex[s])
 	}
@@ -300,9 +284,7 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	if counted {
 		phiI[xi]++
 		m.phiSum[e.From]++
-		if pgI != nil {
-			pgI[xi]++
-		}
+		pgI[xi]++
 	}
 
 	// --- y_s (friend side, remote → snapshot reads, deferred writes) ---
@@ -357,18 +339,16 @@ func (m *Model) updateEdgeStale(ctx *sweepCtx, s int) {
 	}
 	phiI[xi] += d
 	m.phiSum[e.From] += d
-	if pgI != nil {
-		pgI[xi] += d
-	}
+	pgI[xi] += d
 	ctx.stale = append(ctx.stale, staleOp{u: e.To, idx: int32(yi), d: d})
 }
 
 // drawEdgeSideStale is drawEdgeSide for a remote friend side: the
 // profile factor comes from the snapshot row (own counted assignment
-// subtracted), the distance factor from the same three table variants as
-// edgeWeights, and the draw consumes one uniform iff the mass is
-// positive — keeping the stale chain draw-for-draw coupled to the synced
-// one on identical weights.
+// subtracted), the distance factor from the same table variants as
+// edgeCum, and the draw consumes one uniform iff the mass is positive —
+// keeping the stale chain draw-for-draw coupled to the synced one on
+// identical weights.
 func (m *Model) drawEdgeSideStale(ctx *sweepCtx, cand []gazetteer.CityID, gamma, snap []float64, yiOld int, opp gazetteer.CityID, counted bool) int {
 	w := ctx.arena.buf(len(cand))
 	for c := range cand {
@@ -385,13 +365,10 @@ func (m *Model) drawEdgeSideStale(ctx *sweepCtx, cand []gazetteer.CityID, gamma,
 				for c, l := range cand {
 					w[c] *= pt[row[l]]
 				}
-			} else if prow := dt.powRow(opp); prow != nil {
+			} else {
+				prow := dt.powRow(opp)
 				for c, l := range cand {
 					w[c] *= prow[l]
-				}
-			} else {
-				for c, l := range cand {
-					w[c] *= dt.pow(l, opp)
 				}
 			}
 		} else {
@@ -400,14 +377,5 @@ func (m *Model) drawEdgeSideStale(ctx *sweepCtx, cand []gazetteer.CityID, gamma,
 			}
 		}
 	}
-	if m.fused {
-		cum := ctx.arena.cumBuf(len(cand))
-		var total float64
-		for c := range w {
-			total += w[c]
-			cum[c] = total
-		}
-		return randutil.InvertCum(ctx.rng, cum)
-	}
-	return randutil.Categorical(ctx.rng, w)
+	return randutil.FusedCategorical(ctx.rng, w, ctx.arena.cumBuf(len(cand)))
 }

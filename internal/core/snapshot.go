@@ -33,8 +33,9 @@ import (
 // across the determinism matrix).
 //
 // Loaded models are read-only: no sweep state (RNG streams, scratch
-// arenas, fused mirrors) is reconstructed, and none of the read paths
-// touch it. Continuing inference from a snapshot is out of scope.
+// arenas, the ϕ+γ and ψ̂-reciprocal mirrors) is reconstructed, and none
+// of the read paths touch it. Continuing inference from a snapshot is
+// out of scope.
 
 // snapshotMagic opens every snapshot file. The trailing newline makes an
 // accidental text-mode corruption detectable.
@@ -218,6 +219,14 @@ func (r *snapReader) f64s() []float64 {
 	return out
 }
 
+// retiredConfigSlot fills the two config slots whose sampler-path knobs
+// (the venue-count layout and the draw pipeline) no longer exist:
+// encodeConfig writes their old default value 1 ("on"), and
+// decodeConfig reads and ignores them, so the version-2 format stays
+// byte-for-byte unchanged and snapshots written with either knob off
+// still load.
+const retiredConfigSlot = 1
+
 // encodeConfig writes the defaulted Config field by field in fixed order.
 // OnIteration (a callback) is the one field that cannot travel; a loaded
 // model never sweeps, so nothing consults it.
@@ -241,8 +250,8 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.i64(int64(c.EMPairSample))
 	w.bool(c.BlockedSampler)
 	w.i64(int64(c.DistTable))
-	w.i64(int64(c.PsiStore))
-	w.i64(int64(c.FusedDraw))
+	w.i64(retiredConfigSlot) // venue-count layout
+	w.i64(retiredConfigSlot) // draw pipeline
 	w.bool(c.DisableNoiseMixture)
 	w.bool(c.DisableSupervision)
 	w.bool(c.AllLocationCandidates)
@@ -271,8 +280,8 @@ func decodeConfig(r *snapReader) Config {
 	c.EMPairSample = int(r.i64())
 	c.BlockedSampler = r.bool()
 	c.DistTable = DistTableMode(r.i64())
-	c.PsiStore = PsiStoreMode(r.i64())
-	c.FusedDraw = FusedDrawMode(r.i64())
+	r.i64() // retired: venue-count layout
+	r.i64() // retired: draw pipeline
 	c.DisableNoiseMixture = r.bool()
 	c.DisableSupervision = r.bool()
 	c.AllLocationCandidates = r.bool()
@@ -299,10 +308,9 @@ func checkWorldFingerprint(c *dataset.Corpus, r *snapReader) error {
 }
 
 // newSnapshotModel builds the deterministic, corpus-derived part of a
-// loaded model: distance machinery, candidacy vectors and priors, and
-// empty venue-count stores in whichever layout the config selects. The
-// caller scatters the snapshot-carried state (ϕ, latent assignments,
-// venue triples) into it.
+// loaded model: distance machinery, candidacy vectors and priors, and an
+// empty venue-count store. The caller scatters the snapshot-carried
+// state (ϕ, latent assignments, venue triples) into it.
 func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters int) *Model {
 	m := &Model{
 		cfg:    cfg,
@@ -320,7 +328,7 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 	// The distance table serves MAPExplainEdge's d^α exactly as the
 	// fitted model's last α-epoch did: same table, same final exponent.
 	if m.useF && cfg.DistTable != DistTableOff {
-		m.dt = distTableFor(m.dc, c.Gaz, cfg.SparseBins != SparseBinsOff)
+		m.dt = distTableFor(m.dc, c.Gaz)
 		m.dt.setAlpha(m.alpha)
 	}
 
@@ -330,18 +338,13 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 
 	m.numVenues = c.Venues.Len()
 	m.deltaTotal = m.cfg.Delta * float64(m.numVenues)
-	L := c.Gaz.Len()
-	if m.cfg.PsiStore == PsiStoreOn {
-		m.ps = newPsiStore(m.numVenues)
-	} else {
-		m.venueCount = make([]map[gazetteer.VenueID]float64, L)
-	}
-	m.venueSum = make([]float64, L)
+	m.ps = newPsiStore(m.numVenues)
+	m.venueSum = make([]float64, c.Gaz.Len())
 	return m
 }
 
 // addVenueTriple folds one decoded (venue, city, count) triple into the
-// active count layout, validating range and integrality. venueSum is the
+// venue-count store, validating range and integrality. venueSum is the
 // per-city total of integer-valued counts, so summing reproduces the
 // fitted model's incrementally maintained value exactly.
 func (m *Model) addVenueTriple(v, l int, cnt float64) error {
@@ -351,14 +354,7 @@ func (m *Model) addVenueTriple(v, l int, cnt float64) error {
 	if cnt <= 0 || cnt != math.Trunc(cnt) {
 		return fmt.Errorf("core: snapshot venue count (%d, %d) = %v is not a positive integer", v, l, cnt)
 	}
-	if m.ps != nil {
-		m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), cnt)
-	} else {
-		if m.venueCount[l] == nil {
-			m.venueCount[l] = make(map[gazetteer.VenueID]float64, 8)
-		}
-		m.venueCount[l][gazetteer.VenueID(v)] += cnt
-	}
+	m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), cnt)
 	m.venueSum[l] += cnt
 	return nil
 }
@@ -366,7 +362,7 @@ func (m *Model) addVenueTriple(v, l int, cnt float64) error {
 // EncodeSnapshot writes the model's snapshot to w. The encoding is
 // deterministic: the same fitted model always produces the same bytes
 // (venue-count triples are emitted in sorted order, independent of the
-// active count layout's internal iteration order).
+// store rows' internal order).
 func (m *Model) EncodeSnapshot(wr io.Writer) error {
 	w := &snapWriter{}
 	w.buf.Write(snapshotMagic[:])
@@ -407,33 +403,31 @@ func (m *Model) EncodeSnapshot(wr io.Writer) error {
 		w.u16s(m.tz)
 	}
 
-	// Collapsed venue counts as sorted (venue, city, count) triples —
-	// layout-independent, so a snapshot written under either PsiStore
-	// mode loads into either.
-	type triple struct {
-		v   int32
+	// Collapsed venue counts as (venue, city, count) triples sorted by
+	// venue, then city. The store is already venue-major, so only each
+	// row's live pairs need sorting.
+	live := 0
+	for v := range m.ps.rows {
+		live += m.ps.rows[v].live()
+	}
+	w.u32(uint32(live))
+	type pair struct {
 		l   int32
 		cnt float64
 	}
-	var triples []triple
-	//mlp:allow maporder order-independent: triples are fully sorted below before encoding
-	for l, counts := range m.venueCountsByCity() {
-		//mlp:allow maporder order-independent: triples are fully sorted below before encoding
-		for v, cnt := range counts {
-			triples = append(triples, triple{int32(v), int32(l), cnt})
+	var row []pair
+	for v := range m.ps.rows {
+		r := &m.ps.rows[v]
+		row = row[:0]
+		for i, l := range r.cities {
+			row = append(row, pair{l, r.vals[i]})
 		}
-	}
-	sort.Slice(triples, func(i, j int) bool {
-		if triples[i].v != triples[j].v {
-			return triples[i].v < triples[j].v
+		sort.Slice(row, func(i, j int) bool { return row[i].l < row[j].l })
+		for _, p := range row {
+			w.u32(uint32(v))
+			w.u32(uint32(p.l))
+			w.f64(p.cnt)
 		}
-		return triples[i].l < triples[j].l
-	})
-	w.u32(uint32(len(triples)))
-	for _, t := range triples {
-		w.u32(uint32(t.v))
-		w.u32(uint32(t.l))
-		w.f64(t.cnt)
 	}
 
 	// Trailer: checksum of everything above, so a truncated or corrupted
@@ -594,8 +588,7 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 		}
 	}
 
-	// Collapsed venue counts, rebuilt into whichever layout the config
-	// selects.
+	// Collapsed venue counts, rebuilt into the venue-major store.
 	nTriples := r.length(16)
 	for i := 0; i < nTriples; i++ {
 		v := int(r.u32())

@@ -135,7 +135,7 @@ func (m *Model) encodeShardSnapshot(s, shards int, users, edges, tweets []int32)
 	// Collapsed venue counts contributed by this shard's tweets: a
 	// counted tweet (ν=0) adds one at (assigned city, venue). Summing
 	// the triples across all shards reproduces the model's venue-count
-	// stores exactly, whatever layout they use.
+	// store exactly.
 	type triple struct {
 		v   int32
 		l   int32

@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -76,51 +81,91 @@ func requireReadEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus)
 	}
 }
 
+// retiredSlotsOffset is the byte offset of the first of the two retired
+// config slots (see retiredConfigSlot) in a snapshot file, whole-model
+// or shard slice: the header and the world fingerprint, then 14
+// eight-byte fields (Seed … MaxVenueSenses), GibbsEM (1 byte),
+// EMInterval and EMPairSample (8 each), BlockedSampler (1) and
+// DistTable (8).
+var retiredSlotsOffset = len(snapshotMagic) + 16 + int(dataset.NumFingerprintSections)*sha256.Size + 14*8 + 1 + 2*8 + 1 + 8
+
+// retiredSlotCells are the values older encoders wrote into the retired
+// slots: the venue-count layout (psi=venue 1, psi=map 2) and the draw
+// pipeline (draw=fused 1, draw=scan 2). Neither knob changed the fitted
+// state, so a snapshot carrying any combination must load and read out
+// exactly like the one written now (psi=venue/draw=fused).
+var retiredSlotCells = []struct {
+	name      string
+	psi, draw uint64
+}{
+	{"psi=map/draw=scan", 2, 2},
+	{"psi=map/draw=fused", 2, 1},
+	{"psi=venue/draw=scan", 1, 2},
+	{"psi=venue/draw=fused", 1, 1},
+}
+
+// withRetiredSlots returns a copy of the snapshot file raw with the
+// retired slots set to psi and draw and the trailing checksum
+// recomputed: the bytes an older encoder wrote for the same fit with
+// those knob values.
+func withRetiredSlots(t *testing.T, raw []byte, psi, draw uint64) []byte {
+	t.Helper()
+	out := bytes.Clone(raw)
+	for i, v := range []uint64{psi, draw} {
+		slot := retiredSlotsOffset + 8*i
+		if got := binary.LittleEndian.Uint64(out[slot:]); got != retiredConfigSlot {
+			t.Fatalf("retired slot at byte %d holds %d, want %d", slot, got, retiredConfigSlot)
+		}
+		binary.LittleEndian.PutUint64(out[slot:], v)
+	}
+	sum := sha256.Sum256(out[:len(out)-sha256.Size])
+	copy(out[len(out)-sha256.Size:], sum[:])
+	return out
+}
+
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
-// determinism matrix: under every Workers × DistTable × PsiStore ×
-// FusedDraw cell of the golden matrix, encode → decode must reproduce
-// every readout bit for bit. The PsiStore axis additionally crosses the
-// save layout with the load layout (the triple encoding is
-// layout-independent).
+// determinism matrix: under every Workers × DistTable cell of the golden
+// matrix, and for every retired-slot combination an older encoder could
+// have written, encode → decode must reproduce every readout bit for
+// bit.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		for _, p := range goldenPsiModes {
-			for _, f := range goldenDrawModes {
-				if testing.Short() && (g.workers != 1 || p.psi != PsiStoreOn || f.draw != FusedDrawOn) {
-					continue // -short: default cell only
-				}
-				t.Run(g.name+"/"+p.name+"/"+f.name, func(t *testing.T) {
-					cfg := goldenCfg()
-					cfg.Workers = g.workers
-					cfg.DistTable = g.dist
-					cfg.PsiStore = p.psi
-					cfg.FusedDraw = f.draw
-					m, err := Fit(&d.Corpus, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := m.EncodeSnapshot(&buf); err != nil {
-						t.Fatal(err)
-					}
-					loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(buf.Bytes()))
+		if testing.Short() && g.workers != 1 {
+			continue // -short: sequential cells only
+		}
+		t.Run(g.name, func(t *testing.T) {
+			cfg := goldenCfg()
+			cfg.Workers = g.workers
+			cfg.DistTable = g.dist
+			m, err := Fit(&d.Corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.EncodeSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range retiredSlotCells {
+				t.Run(s.name, func(t *testing.T) {
+					raw := withRetiredSlots(t, buf.Bytes(), s.psi, s.draw)
+					loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(raw))
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireReadEquality(t, m, loaded, &d.Corpus)
 				})
 			}
-		}
+		})
 	}
 }
 
 // TestSnapshotEncodingDeterministic: the same fitted model must serialize
-// to identical bytes, and the bytes must agree across count layouts (the
-// venue triples are emitted sorted, not in internal iteration order).
+// to identical bytes (the venue triples are emitted sorted, not in the
+// store rows' internal order).
 func TestSnapshotEncodingDeterministic(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -140,26 +185,6 @@ func TestSnapshotEncodingDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two encodings of the same model differ")
 	}
-
-	// The map-layout fit holds identical counts (the golden matrix locks
-	// this), so its snapshot must be byte-identical too.
-	cfgMap := goldenCfg()
-	cfgMap.PsiStore = PsiStoreOff
-	mm, err := Fit(&d.Corpus, cfgMap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c bytes.Buffer
-	if err := mm.EncodeSnapshot(&c); err != nil {
-		t.Fatal(err)
-	}
-	// Configs differ (PsiStore byte), so compare everything after the
-	// config block indirectly: decode both and compare readouts.
-	loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(c.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireReadEquality(t, mm, loaded, &d.Corpus)
 }
 
 // TestSnapshotSaveLoadFile exercises the atomic file path.
@@ -297,10 +322,45 @@ func TestSnapshotVariants(t *testing.T) {
 	}
 }
 
+// setDirRetiredSlots rewrites every slice file of a sharded snapshot
+// directory through withRetiredSlots and updates the manifest's
+// checksums to match.
+func setDirRetiredSlots(t *testing.T, dir string, psi, draw uint64) {
+	t.Helper()
+	path := filepath.Join(dir, snapshotManifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man snapshotManifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range man.Files {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = withRetiredSlots(t, data, psi, draw)
+		if err := os.WriteFile(filepath.Join(dir, e.Name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		man.Files[i].SHA256 = hex.EncodeToString(sum[:])
+	}
+	if raw, err = json.MarshalIndent(&man, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedSnapshotRoundTrip: a model fitted with Shards=4 saved as a
 // sharded directory and loaded back (via the LoadSnapshot directory
 // route) must reproduce every readout bit for bit, under both boundary
-// protocols and both count layouts.
+// protocols. The stale cell's slice files carry the retired venue-count
+// layout slot as older encoders wrote it for a psi=map fit.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -309,16 +369,15 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
 		stale bool
-		psi   PsiStoreMode
+		psi   uint64
 	}{
-		{"sync/psi=venue", false, PsiStoreOn},
-		{"stale/psi=map", true, PsiStoreOff},
+		{"sync/psi=venue", false, 1},
+		{"stale/psi=map", true, 2},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := goldenCfg()
 			cfg.Shards = 4
 			cfg.StaleBoundary = mode.stale
-			cfg.PsiStore = mode.psi
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -327,6 +386,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 			if err := m.SaveShardedSnapshot(dir); err != nil {
 				t.Fatal(err)
 			}
+			setDirRetiredSlots(t, dir, mode.psi, retiredConfigSlot)
 			loaded, err := LoadSnapshot(&d.Corpus, dir)
 			if err != nil {
 				t.Fatal(err)

@@ -2,30 +2,27 @@ package core
 
 import (
 	"mlprofile/internal/gazetteer"
-	"mlprofile/internal/randutil"
 )
 
-// This file implements the per-author tweet-draw batching layer behind
-// Config.TweetBatch (see DESIGN.md §14). Consecutive tweets of one
-// author share the same candidate set, and between two of the author's
-// own draws nothing this stream can see mutates the venue counts — the
-// sequential chain interleaves no other author inside the run, and a
-// parallel/sharded worker reads frozen base counts plus its own private
-// overlay. The batched kernel therefore gathers each venue's
-// per-candidate counts once per (author, venue) into a small per-stream
-// cache and reuses them across the author's tweet run. Deliberately,
-// only the *counts* are cached, never the smoothed ψ̂ values derived
-// from them: ψ̂'s denominator (the per-city venue sum) moves whenever
-// any of the author's draws shifts any venue at that city, so a cached
-// ψ̂ would need an all-entries repair per accepted move — measured as a
-// net pessimization. Counts are venue-local, so a move repairs exactly
+// This file implements the per-author venue-count cache the tweet
+// kernel (updateTweet) reads its ψ̂ counts from (see DESIGN.md §14).
+// Consecutive tweets of one author share the same candidate set, and
+// between two of the author's own draws nothing this stream can see
+// mutates the venue counts — the sequential chain interleaves no other
+// author inside the run, and a parallel/sharded worker reads frozen base
+// counts plus its own private overlay. The kernel therefore gathers each
+// venue's per-candidate counts once per (author, venue) into a small
+// per-stream cache and reuses them across the author's tweet run.
+// Deliberately, only the *counts* are cached, never the smoothed ψ̂
+// values derived from them: ψ̂'s denominator (the per-city venue sum)
+// moves whenever any of the author's draws shifts any venue at that
+// city, so a cached ψ̂ would need an all-entries repair per accepted
+// move — measured as a net pessimization. Counts are venue-local, so a move repairs exactly
 // one entry at one index, and the fill recomputes ψ̂ from the cached
-// count and the always-current maintained reciprocal — the same fused
-// multiply the unbatched kernel runs, minus its per-draw gather. Every
-// value fed to a draw is computed from the same operands with the same
-// operations as updateTweetStore, so the batched chain is bit-identical
-// to the unbatched one (the golden matrix's batch axis locks this);
-// only the probe/gather work is amortized.
+// count and the always-current maintained reciprocal. Every value fed to
+// a draw equals a fresh per-draw gather's, so only the probe/gather work
+// is amortized (TestTweetBatchBoundaryInvalidation drives the repair
+// edge under eviction).
 
 // tweetBatchEntries is the per-stream cache size. It should cover a
 // typical author's distinct-venue working set within one run (the bench
@@ -74,9 +71,7 @@ type tweetBatch struct {
 	// draw, but the value only moves when a µ/ν flip shifts ϕ_u inside
 	// the run. Caching the reciprocal keyed on the denominator value
 	// folds those divisions into one per change. num·(1/den) can differ
-	// from num/den by one ulp; on the golden world no draw flips (the
-	// batch axis of the fingerprint matrix locks this) and the general
-	// case sits far inside the equivalence tolerance.
+	// from num/den by one ulp, far inside the equivalence tolerance.
 	thetaDen  float64
 	thetaRDen float64
 
@@ -105,10 +100,9 @@ func (b *tweetBatch) resetFor(user int32, iter int) {
 
 // entryFor returns the current author's cached entry for venue v,
 // gathering counts into a (possibly recycled) slot on miss. The gather
-// resolves the exact counts the unbatched kernel would probe — via the
-// store row walk or direct probes, whichever is cheaper
-// (psiGatherWorthwhile), overlay deltas included on a worker — so
-// reading the entry is bit-identical to re-probing.
+// resolves the exact counts — via the store row walk or direct probes,
+// whichever is cheaper (psiGatherWorthwhile), overlay deltas included
+// on a worker — so reading the entry is bit-identical to re-probing.
 func (b *tweetBatch) entryFor(ctx *sweepCtx, v gazetteer.VenueID, cand []gazetteer.CityID) *batchEntry {
 	m := ctx.m
 	if int(v) >= len(b.vstamp) {
@@ -209,140 +203,10 @@ func (b *tweetBatch) theta(m *Model, u int32, idx int, excludeSelf bool) float64
 	return num * b.thetaRDen
 }
 
-// updateTweetStoreBatched is the batched form of updateTweetStore,
-// active when Model.batched (fused pipeline + venue-major store +
-// Config.TweetBatch on). Same conditionals, same two draws, identical
-// RNG consumption; the per-candidate ψ̂ resolution is served from the
-// per-author batch cache instead of per-draw gathers, and the Eq. 6/9
-// exclusion is applied to the one candidate index it affects (candidate
-// cities are unique within a user's set, so only the current
-// assignment's index carries the excluded city).
-func (m *Model) updateTweetStoreBatched(ctx *sweepCtx, k int) {
-	t := m.corpus.Tweets[k]
-	u := t.User
-	cand := m.cands.cand[u]
-	pg := m.pg[u]
-	phi := m.phi[u]
-	counted := !m.nu[k]
-
-	b := &ctx.batch
-	if b.iter != m.curIter || b.user != int32(u) {
-		b.resetFor(int32(u), m.curIter)
-	}
-
-	// --- z_k (Eq. 9) ---
-	zi := int(m.tz[k])
-	exCity := cand[zi]
-	if counted {
-		phi[zi]--
-		m.phiSum[u]--
-		pg[zi]--
-	}
-	cum := ctx.arena.cumBuf(len(cand))
-	cum = cum[:len(cand)]
-	pgv := pg[:len(cand)]
-	var total float64
-	var e *batchEntry
-	if counted {
-		// ψ̂ computed inline from the cached counts — the identical
-		// expressions tweetStoreCum runs (maintained-reciprocal multiply
-		// off-overlay, psiFrom division on-overlay, cnt−1/sum−1 at the
-		// excluded index), minus the per-draw gather. Candidate cities
-		// are unique per user, so the exclusion hits exactly index zi.
-		e = b.entryFor(ctx, t.Venue, cand)
-		cnt := e.cnt[:len(cand)]
-		if ctx.ovl == nil {
-			rs, delta := m.venueRSum, m.cfg.Delta
-			for c, l := range cand {
-				var p float64
-				if c != zi {
-					p = (cnt[c] + delta) * rs[l]
-				} else {
-					p = m.psiFrom(cnt[c]-1, m.venueSum[l]-1)
-				}
-				total += pgv[c] * p
-				cum[c] = total
-			}
-		} else {
-			ovlSum := ctx.ovlSum
-			for c, l := range cand {
-				cc := cnt[c]
-				sum := m.venueSum[l] + ovlSum[l]
-				if c == zi {
-					cc--
-					sum--
-				}
-				total += pgv[c] * m.psiFrom(cc, sum)
-				cum[c] = total
-			}
-		}
-	} else {
-		for c := range pgv {
-			total += pgv[c]
-			cum[c] = total
-		}
-	}
-	next := randutil.InvertCum(ctx.rng, cum)
-	if next < 0 {
-		next = zi
-	}
-	m.tz[k] = uint16(next)
-	if counted {
-		phi[next]++
-		m.phiSum[u]++
-		pg[next]++
-		if cand[next] != exCity {
-			b.shift(ctx, cand, zi, t.Venue, -1)
-			b.shift(ctx, cand, next, t.Venue, 1)
-		}
-	}
-	zi = next
-
-	// --- ν_k (Eq. 6) ---
-	if m.cfg.RhoT <= 0 || m.curIter <= m.cfg.NoiseBurnIn {
-		return
-	}
-	z := cand[zi]
-	var psiZ float64
-	if counted {
-		// Exclude self against the z-step's (since repaired) entry:
-		// e.cnt[zi] already includes the moved-in assignment, exactly the
-		// post-move count the unbatched kernel reads back before its −1.
-		// The pointer is still valid — only entryFor recycles slots, and
-		// none ran since the fill.
-		sum := m.venueSum[z]
-		if ctx.ovl != nil {
-			sum += ctx.ovlSum[z]
-		}
-		psiZ = m.psiFrom(e.cnt[zi]-1, sum-1)
-	} else {
-		psiZ = ctx.psi(z, t.Venue)
-	}
-	thetaZ := b.theta(m, int32(u), zi, counted)
-	p1 := m.cfg.RhoT * m.tr[t.Venue]
-	p0 := (1 - m.cfg.RhoT) * thetaZ * psiZ
-	noisy := randutil.Bernoulli(ctx.rng, p1/(p0+p1))
-	if noisy == m.nu[k] {
-		return
-	}
-	m.nu[k] = noisy
-	if noisy {
-		phi[zi]--
-		m.phiSum[u]--
-		pg[zi]--
-		b.shift(ctx, cand, zi, t.Venue, -1)
-	} else {
-		phi[zi]++
-		m.phiSum[u]++
-		pg[zi]++
-		b.shift(ctx, cand, zi, t.Venue, 1)
-	}
-}
-
 // TweetBatchStats aggregates the batching layer's counters across every
 // sampler stream of a fit: entries gathered, entries reused, and
-// in-place repairs after the author's own draws. All zero when the
-// batch layer is inactive.
+// in-place repairs after the author's own draws. All zero for models
+// without tweeting observations and for snapshot-loaded models.
 type TweetBatchStats struct {
 	Built, Hits, Repairs int64
 }
@@ -369,8 +233,3 @@ func (m *Model) TweetBatchStats() TweetBatchStats {
 	}
 	return s
 }
-
-// TweetBatchActive reports whether the fit ran the batched tweet kernel
-// (Config.TweetBatch on top of the fused pipeline and the venue-major
-// store).
-func (m *Model) TweetBatchActive() bool { return m.batched }

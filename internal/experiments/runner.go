@@ -57,22 +57,6 @@ type Options struct {
 	// DistTable selects the sampler's distance fast path (default on;
 	// core.DistTableOff runs the exact reference sampler).
 	DistTable core.DistTableMode
-	// PsiStore selects the collapsed venue-count layout (default
-	// venue-major; core.PsiStoreOff runs the city-major map reference).
-	PsiStore core.PsiStoreMode
-	// FusedDraw selects the categorical draw pipeline (default fused;
-	// core.FusedDrawOff runs the reference fill + Categorical path).
-	FusedDraw core.FusedDrawMode
-	// TweetBatch selects per-author tweet-draw batching (default on;
-	// core.TweetBatchOff runs the reference per-draw gather).
-	TweetBatch core.TweetBatchMode
-	// Layout selects the per-user state memory layout (default
-	// interleaved slabs; core.LayoutOff keeps per-user allocations).
-	Layout core.LayoutMode
-	// SparseBins selects the distance-table representation above the
-	// dense pair-matrix ceiling (default sparse per-city bin rows;
-	// core.SparseBinsOff falls back to per-lookup quantization).
-	SparseBins core.SparseBinsMode
 }
 
 func (o Options) withDefaults() Options {
@@ -268,11 +252,6 @@ func (r *Runner) runFold(f int, test []dataset.UserID) (*foldResult, error) {
 			StaleBoundary: r.opts.StaleBoundary,
 			GibbsEM:       !r.opts.DisableGibbsEM,
 			DistTable:     r.opts.DistTable,
-			PsiStore:      r.opts.PsiStore,
-			FusedDraw:     r.opts.FusedDraw,
-			TweetBatch:    r.opts.TweetBatch,
-			Layout:        r.opts.Layout,
-			SparseBins:    r.opts.SparseBins,
 		}
 		if name == MethodMLP && f == 0 {
 			// Fig. 5: trace test accuracy across sweeps.
@@ -346,11 +325,6 @@ func (r *Runner) ensureFull() error {
 		StaleBoundary: r.opts.StaleBoundary,
 		GibbsEM:       !r.opts.DisableGibbsEM,
 		DistTable:     r.opts.DistTable,
-		PsiStore:      r.opts.PsiStore,
-		FusedDraw:     r.opts.FusedDraw,
-		TweetBatch:    r.opts.TweetBatch,
-		Layout:        r.opts.Layout,
-		SparseBins:    r.opts.SparseBins,
 	})
 	if err != nil {
 		return err

@@ -18,12 +18,12 @@ import (
 // fused draw consumes exactly one rng.Float64() and returns exactly the
 // index Categorical would have returned on the raw weights, provided
 // the prefix was accumulated in index order with non-positive weights
-// contributing zero (Drawer.Add does this; the sampler kernels add
+// contributing zero (FusedCategorical does this; the sampler kernels add
 // unconditionally because their weights are products of non-negative
 // factors, for which x+0 is bitwise x). When the total is non-positive
 // the draw returns -1 WITHOUT consuming a uniform, again matching
-// Categorical — this is what lets a fused chain shadow a reference
-// chain draw for draw.
+// Categorical — this is what keeps the exact and distance-table chains
+// coupled draw for draw.
 //
 // The only divergence from Categorical is the float-slack fallback
 // (u rounding up to the exact total): Categorical returns the last
@@ -31,8 +31,7 @@ import (
 // prefix strictly increased. The two differ only when a positive weight
 // is so small against the running total that adding it does not change
 // the float — and the fallback itself fires only on a boundary rounding
-// of u, so the combination is unobserved (the golden fingerprint matrix
-// locks fused and reference chains to identical fits).
+// of u, so the combination is unobserved.
 
 // InvertCrossover is the prefix length at which InvertCum switches from
 // the linear scan to the binary search. The scan's sequential,
@@ -139,48 +138,4 @@ func FusedCategorical(rng *rand.Rand, weights, cum []float64) int {
 		cum[i] = total
 	}
 	return InvertCum(rng, cum)
-}
-
-// Drawer is the reusable fill-and-accumulate form of the fused draw:
-// Reset, Add each weight in order, Draw. It owns its prefix scratch, so
-// one Drawer per sampling stream amortizes the allocation the way the
-// sampler's per-worker draw arena does.
-type Drawer struct {
-	cum []float64
-}
-
-// Reset clears the drawer for a draw over n categories.
-func (d *Drawer) Reset(n int) {
-	if cap(d.cum) < n {
-		d.cum = make([]float64, 0, n)
-	}
-	d.cum = d.cum[:0]
-}
-
-// Add appends the next category's unnormalized weight. Non-positive
-// (and NaN) weights contribute zero mass, exactly as Categorical skips
-// them.
-func (d *Drawer) Add(w float64) {
-	total := 0.0
-	if n := len(d.cum); n > 0 {
-		total = d.cum[n-1]
-	}
-	if w > 0 {
-		total += w
-	}
-	d.cum = append(d.cum, total)
-}
-
-// Total returns the accumulated mass so far.
-func (d *Drawer) Total() float64 {
-	if len(d.cum) == 0 {
-		return 0
-	}
-	return d.cum[len(d.cum)-1]
-}
-
-// Draw consumes exactly one uniform when the total is positive and
-// returns the drawn index; -1 (consuming nothing) otherwise.
-func (d *Drawer) Draw(rng *rand.Rand) int {
-	return InvertCum(rng, d.cum)
 }

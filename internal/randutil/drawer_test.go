@@ -36,33 +36,33 @@ func randWeights(rng *rand.Rand, n int, allowNeg bool) []float64 {
 	return w
 }
 
-// TestDrawerMatchesCategorical is the coupling property: on identical
-// RNG streams, Drawer (prefix fill + single-uniform inversion) must
-// return exactly the index sequence Categorical returns on the raw
-// weights — across sizes spanning the crossover and weights including
-// zeros and negatives. This is the contract that lets the sampler's
-// fused chains shadow the reference chains draw for draw.
+// TestDrawerMatchesCategorical is the coupling property of the in-fill
+// draw form the sampler kernels use: the caller adds each non-negative
+// weight to a running total as it fills the prefix (unconditionally, as
+// x+0 is bitwise x), then inverts one uniform with InvertCum, reusing
+// the prefix buffer from draw to draw. On identical RNG streams this
+// must return exactly the index sequence Categorical returns on the raw
+// weights and leave the streams aligned.
 func TestDrawerMatchesCategorical(t *testing.T) {
 	gen := rand.New(rand.NewSource(11))
-	var d Drawer
 	for _, n := range drawerSizes() {
+		cum := make([]float64, 0, n)
 		for trial := 0; trial < 50; trial++ {
-			w := randWeights(gen, n, true)
+			w := randWeights(gen, n, false)
 			seed := gen.Int63()
 			rngA := rand.New(rand.NewSource(seed))
 			rngB := rand.New(rand.NewSource(seed))
 			for draw := 0; draw < 4; draw++ {
 				want := Categorical(rngA, w)
-				d.Reset(len(w))
+				cum = cum[:0]
+				var total float64
 				for _, wi := range w {
-					d.Add(wi)
+					total += wi
+					cum = append(cum, total)
 				}
-				got := d.Draw(rngB)
-				if got != want {
-					t.Fatalf("n=%d trial=%d draw=%d: Drawer %d != Categorical %d (weights %v)", n, trial, draw, got, want, w)
+				if got := InvertCum(rngB, cum); got != want {
+					t.Fatalf("n=%d trial=%d draw=%d: in-fill InvertCum %d != Categorical %d (weights %v)", n, trial, draw, got, want, w)
 				}
-				// The streams must also stay aligned: -1 consumes no
-				// uniform, everything else exactly one.
 				if rngA.Float64() != rngB.Float64() {
 					t.Fatalf("n=%d trial=%d draw=%d: RNG streams diverged after draw", n, trial, draw)
 				}
@@ -71,8 +71,11 @@ func TestDrawerMatchesCategorical(t *testing.T) {
 	}
 }
 
-// TestFusedCategoricalMatchesCategorical pins the raw-weights fused
-// entry point (one prefix pass + inversion) the same way.
+// TestFusedCategoricalMatchesCategorical is the coupling property: on
+// identical RNG streams, FusedCategorical (prefix fill + single-uniform
+// inversion) must return exactly the index Categorical returns on the
+// raw weights — across sizes spanning the crossover and weights
+// including zeros and negatives — and leave the streams aligned.
 func TestFusedCategoricalMatchesCategorical(t *testing.T) {
 	gen := rand.New(rand.NewSource(12))
 	for _, n := range drawerSizes() {
@@ -123,47 +126,41 @@ func TestInvertCumCrossoverBoundary(t *testing.T) {
 	}
 }
 
-// TestDrawerEdgeCases locks the degenerate inputs: empty, all-zero, and
-// all-negative draws return -1 and consume no randomness; zero and
-// negative entries between positive ones are never drawn.
+// TestDrawerEdgeCases locks the fused draw's degenerate inputs
+// (FusedCategorical over InvertCum): empty, all-zero, and all-negative
+// draws return -1 and consume no randomness; zero and negative entries
+// between positive ones are never drawn.
 func TestDrawerEdgeCases(t *testing.T) {
-	var d Drawer
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range [][]float64{{}, {0}, {0, 0, 0}, {-1, -2}, {0, -3, 0}} {
-		d.Reset(len(w))
-		for _, wi := range w {
-			d.Add(wi)
-		}
+		cum := make([]float64, len(w))
 		r1 := rand.New(rand.NewSource(99))
-		if got := d.Draw(r1); got != -1 {
+		if got := FusedCategorical(r1, w, cum); got != -1 {
 			t.Errorf("weights %v: got %d, want -1", w, got)
 		}
 		if r1.Float64() != rand.New(rand.NewSource(99)).Float64() {
 			t.Errorf("weights %v: a -1 draw consumed randomness", w)
 		}
-		if d.Total() != 0 {
-			t.Errorf("weights %v: total %v, want 0", w, d.Total())
+		if len(cum) > 0 && cum[len(cum)-1] != 0 {
+			t.Errorf("weights %v: total %v, want 0", w, cum[len(cum)-1])
 		}
 	}
 	// Zero/negative entries surrounded by mass must never be selected.
 	w := []float64{1, 0, 2, -5, 3}
+	cum := make([]float64, len(w))
 	counts := make([]int, len(w))
 	for i := 0; i < 5000; i++ {
-		d.Reset(len(w))
-		for _, wi := range w {
-			d.Add(wi)
-		}
-		counts[d.Draw(rng)]++
+		counts[FusedCategorical(rng, w, cum)]++
 	}
 	if counts[1] != 0 || counts[3] != 0 {
 		t.Errorf("zero/negative categories drawn: counts %v", counts)
 	}
 }
 
-// TestDrawerFrequencies is the distributional property: empirical draw
-// frequencies track the normalized weights. (Exactness per draw is
-// already locked against Categorical; this guards the inversion's use
-// of the uniform end to end.)
+// TestDrawerFrequencies is the distributional property of the fused
+// draw: empirical FusedCategorical frequencies track the normalized
+// weights. (Exactness per draw is already locked against Categorical;
+// this guards the inversion's use of the uniform end to end.)
 func TestDrawerFrequencies(t *testing.T) {
 	w := []float64{1, 2, 3, 4, 0, 10}
 	var totalW float64
@@ -171,15 +168,11 @@ func TestDrawerFrequencies(t *testing.T) {
 		totalW += wi
 	}
 	rng := rand.New(rand.NewSource(5))
-	var d Drawer
+	cum := make([]float64, len(w))
 	const draws = 200000
 	counts := make([]int, len(w))
 	for i := 0; i < draws; i++ {
-		d.Reset(len(w))
-		for _, wi := range w {
-			d.Add(wi)
-		}
-		counts[d.Draw(rng)]++
+		counts[FusedCategorical(rng, w, cum)]++
 	}
 	for i, wi := range w {
 		got := float64(counts[i]) / draws
@@ -212,8 +205,9 @@ func TestCumFallback(t *testing.T) {
 }
 
 // --- Micro-benchmarks: the three draw forms across both inversion
-// regimes. The Categorical/Drawer ratio at each size is the per-draw
-// saving the fused pipeline banks before any kernel restructuring.
+// regimes. The Categorical/FusedCategorical ratio at each size is the
+// per-draw saving the fused pipeline banks before any kernel
+// restructuring.
 
 func benchWeights(n int) []float64 {
 	rng := rand.New(rand.NewSource(1))
@@ -241,16 +235,12 @@ func BenchmarkCategoricalBySize(b *testing.B) {
 func BenchmarkDrawer(b *testing.B) {
 	for _, n := range []int{8, 16, 40, 64, 128, 256, 512} {
 		w := benchWeights(n)
+		cum := make([]float64, n)
 		rng := rand.New(rand.NewSource(2))
-		var d Drawer
 		b.Run(sizeName(n), func(b *testing.B) {
 			var sink int
 			for i := 0; i < b.N; i++ {
-				d.Reset(n)
-				for _, wi := range w {
-					d.Add(wi)
-				}
-				sink += d.Draw(rng)
+				sink += FusedCategorical(rng, w, cum)
 			}
 			_ = sink
 		})

@@ -117,72 +117,6 @@ const (
 	DistTableOff  = core.DistTableOff
 )
 
-// PsiStoreMode selects the storage layout of the collapsed venue counts
-// behind the tweet kernel's ψ̂ factor (ModelConfig.PsiStore).
-type PsiStoreMode = core.PsiStoreMode
-
-// Venue-count layouts: the venue-major open-addressed store (the
-// default) vs the city-major map reference. The two are bit-identical in
-// every fitted quantity (see DESIGN.md §8).
-const (
-	PsiStoreAuto = core.PsiStoreAuto
-	PsiStoreOn   = core.PsiStoreOn
-	PsiStoreOff  = core.PsiStoreOff
-)
-
-// FusedDrawMode selects the update kernels' categorical draw pipeline
-// (ModelConfig.FusedDraw).
-type FusedDrawMode = core.FusedDrawMode
-
-// Draw pipelines: the fused single-pass prefix-sum draw (the default)
-// vs the reference weight fill + Categorical. The two consume
-// randomness draw-for-draw identically and are equivalence-tested
-// against each other (see DESIGN.md §9).
-const (
-	FusedDrawAuto = core.FusedDrawAuto
-	FusedDrawOn   = core.FusedDrawOn
-	FusedDrawOff  = core.FusedDrawOff
-)
-
-// TweetBatchMode selects per-author batching of the fused tweet kernel's
-// ψ̂ fills (ModelConfig.TweetBatch).
-type TweetBatchMode = core.TweetBatchMode
-
-// Batching modes: gathered per-author entries with incremental repair
-// (the default) vs the reference per-draw gather. Bit-identical by
-// construction and golden-locked (see DESIGN.md §14).
-const (
-	TweetBatchAuto = core.TweetBatchAuto
-	TweetBatchOn   = core.TweetBatchOn
-	TweetBatchOff  = core.TweetBatchOff
-)
-
-// LayoutMode selects the memory layout of the per-user sampler state
-// (ModelConfig.Layout).
-type LayoutMode = core.LayoutMode
-
-// Layouts: interleaved contiguous slabs (the default) vs per-user
-// allocations. A pure placement change — values and draws are identical
-// (see DESIGN.md §14).
-const (
-	LayoutAuto = core.LayoutAuto
-	LayoutOn   = core.LayoutOn
-	LayoutOff  = core.LayoutOff
-)
-
-// SparseBinsMode selects how the distance table serves gazetteers beyond
-// MaxDensePairCities (ModelConfig.SparseBins).
-type SparseBinsMode = core.SparseBinsMode
-
-// Representations above the dense ceiling: lazily built per-city sparse
-// pow rows (the default) vs per-lookup quantization. Both serve the same
-// quantized values bit-for-bit (see DESIGN.md §14).
-const (
-	SparseBinsAuto = core.SparseBinsAuto
-	SparseBinsOn   = core.SparseBinsOn
-	SparseBinsOff  = core.SparseBinsOff
-)
-
 // Fit runs MLP inference over a corpus.
 func Fit(c *Corpus, cfg ModelConfig) (*Model, error) { return core.Fit(c, cfg) }
 
