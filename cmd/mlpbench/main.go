@@ -4,7 +4,8 @@
 // tracked as a checked-in artifact from PR to PR instead of scrollback.
 //
 // Every cell also records a per-phase breakdown (edge / tweet / fold /
-// shard / boundary seconds per sweep, from Model.PhaseSeconds), and the
+// shard / boundary / em seconds per sweep, from Model.PhaseSeconds; the
+// once-per-fit init/ phases are left out), and the
 // measured fits run under pprof phase labels, so a -cpuprofile capture
 // attributes samples to sweep phases by name.
 //
@@ -46,6 +47,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"mlprofile/internal/core"
@@ -281,6 +283,9 @@ func measureCell(c *dataset.Corpus, cfg core.Config, sweeps, count int) (initS, 
 		inits = append(inits, t1)
 		perSweeps = append(perSweeps, ps)
 		for k, v := range pN {
+			if strings.HasPrefix(k, "init/") {
+				continue // paid once per fit: the subtraction cancels it
+			}
 			d := (v - p1[k]) / float64(sweeps)
 			if d < 0 {
 				d = 0

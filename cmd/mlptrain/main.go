@@ -86,8 +86,13 @@ func main() {
 	en, tn := m.NoiseStats()
 	fmt.Printf("fitted %s in %d iterations: alpha=%.3f beta=%.5f noise(edges)=%.3f noise(tweets)=%.3f\n",
 		v, m.Iterations(), alpha, beta, en, tn)
-	if active, dense := m.DistTableStatus(); active && !dense {
-		log.Printf("distance table: gazetteer exceeds the %d-city dense pair-matrix ceiling; serving d^alpha from sparse per-city bin rows (lazily built, budget-capped, same draws)", core.MaxDensePairCities)
+	switch active, u, dense := m.DistTableStatus(); {
+	case !active:
+		fmt.Println("distance table: off, exact d^alpha per pair")
+	case dense:
+		fmt.Printf("distance table: U=%d of L=%d cities, dense\n", u, d.Corpus.Gaz.Len())
+	default:
+		fmt.Printf("distance table: U=%d of L=%d cities, single lookups\n", u, d.Corpus.Gaz.Len())
 	}
 	st := m.TweetBatchStats()
 	fmt.Printf("tweet batch: fills=%d reuses=%d repairs=%d\n", st.Built, st.Hits, st.Repairs)

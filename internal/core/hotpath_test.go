@@ -6,16 +6,15 @@ import (
 	"testing"
 
 	"mlprofile/internal/dataset"
-	"mlprofile/internal/gazetteer"
 	"mlprofile/internal/synth"
 )
 
-// Tests for the DESIGN.md §14 hot-path structures: the per-author
-// tweet-draw batch cache and the sparse per-city pow rows above the
-// dense pair-matrix ceiling. Each is pinned to the fingerprint the fit
-// had when the batch cache and the sparse rows still had bit-identical
-// reference paths (per-draw gathers, per-lookup quantization) to be
-// checked against.
+// Tests for the DESIGN.md §14 hot-path structures and the wide
+// gazetteers of §7: the per-author tweet-draw batch cache, and fits on
+// gazetteers far larger than their candidate universe. Each is pinned to
+// the fingerprint the fit had when the batch cache and the large-
+// gazetteer distance layer still had bit-identical reference paths
+// (per-draw gathers, per-lookup quantization) to be checked against.
 
 // longRunWorld has few authors with very long tweet runs: the world
 // that drives the tweet batch cache's repair edge.
@@ -84,50 +83,59 @@ func TestBatchLayoutShardedIdentity(t *testing.T) {
 	}
 }
 
-// sparseWorld is a gazetteer just past the dense pair-matrix ceiling —
-// big enough that the dense build is skipped, small enough to fit in
-// test time.
-func sparseWorld(seed int64, users int) synth.Config {
-	return synth.Config{Seed: seed, NumUsers: users, NumLocations: MaxDensePairCities + 152}
+// wideWorld is the 2,200-city world the pins below were captured on:
+// a gazetteer whose candidate universe is a small fraction of it.
+func wideWorld(seed int64, users int) synth.Config {
+	return synth.Config{Seed: seed, NumUsers: users, NumLocations: 2200}
 }
 
-// TestSparseBinsPowRowMatchesFallback is the unit-level identity: a
-// sparse pow row serves exactly the values the same table's single
-// lookups compute — same quantized log, same exp — across α-epochs.
-// Row-walking kernels and single lookups therefore cannot diverge
-// however they mix.
+// TestSparseBinsPowRowMatchesFallback is the row-level identity on a
+// gazetteer wider than its candidate universe (L = 2,200, the regime
+// once served by lazily built sparse pow rows): the universe matrix's
+// pow row of every universe city serves exactly the values the same
+// table's single lookups compute without matrices — same quantized log,
+// same exp — across α-epochs. Row-walking kernels and single lookups
+// therefore cannot diverge however they mix.
 func TestSparseBinsPowRowMatchesFallback(t *testing.T) {
-	d, err := synth.Generate(sparseWorld(61, 10))
+	d, err := synth.Generate(wideWorld(61, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := d.Corpus.Gaz
-	dt := distTableFor(newDistCalc(g), g)
-	probes := []gazetteer.CityID{0, 3, 511, gazetteer.CityID(g.Len() - 1)}
+	c := &d.Corpus
+	L := c.Gaz.Len()
+	cand := buildCandidates(c, Config{}.withDefaults(), true, true).cand
+	dc := newDistCalc(c.Gaz)
+	dt := newDistTable(dc, L, cand, maxDenseUniverse)
+	fallback := newDistTable(dc, L, cand, 0)
+	_, cities := universeIDs(L, cand)
 	for _, alpha := range []float64{-0.55, -0.8} {
 		dt.setAlpha(alpha)
-		if active, dense := (&Model{dt: dt}).DistTableStatus(); !active || dense {
-			t.Fatalf("alpha=%v: status active=%v dense=%v, want active without dense", alpha, active, dense)
+		fallback.setAlpha(alpha)
+		if active, u, dense := (&Model{dt: dt}).DistTableStatus(); !active || !dense || u >= L {
+			t.Fatalf("alpha=%v: status active=%v U=%d dense=%v, want dense over a universe below L=%d", alpha, active, u, dense, L)
 		}
-		for _, a := range probes {
-			prow := dt.powRow(a)
-			for _, b := range probes {
-				if want := dt.pow(a, b); prow[b] != want {
-					t.Errorf("alpha=%v: powRow(%d)[%d] = %v, single lookup = %v", alpha, a, b, prow[b], want)
+		for _, a := range cities {
+			prow := dt.row(a)
+			if len(prow) != dt.U {
+				t.Fatalf("alpha=%v: row(%d) has %d entries, want U=%d", alpha, a, len(prow), dt.U)
+			}
+			for _, b := range cities {
+				if want := fallback.pow(a, b); prow[dt.uid[b]] != want {
+					t.Fatalf("alpha=%v: row(%d)[%d] = %v, single lookup = %v", alpha, a, b, prow[dt.uid[b]], want)
 				}
 			}
 		}
 	}
 }
 
-// TestSparseBinsFingerprintEquivalence pins the fit at L >
-// MaxDensePairCities under the parallel sweep, where rows are built and
-// read concurrently. The fingerprint is the one the per-lookup
-// quantization path produced bit for bit (both serve exp(α·quantLog) for
-// every pair). Also locks the reported status: the table must be active
-// without the dense matrix.
-func TestSparseBinsFingerprintEquivalence(t *testing.T) {
-	d, err := synth.Generate(sparseWorld(105, 150))
+// TestWideGazFingerprintEquivalence pins the fit at L = 2,200 under the
+// parallel sweep, where four workers read the shared universe matrices.
+// The fingerprint is the one the per-lookup quantization path produced
+// bit for bit (both serve exp(α·quantLog) for every pair). Also locks
+// the reported status: dense matrices over a universe smaller than the
+// gazetteer.
+func TestWideGazFingerprintEquivalence(t *testing.T) {
+	d, err := synth.Generate(wideWorld(105, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,27 +144,26 @@ func TestSparseBinsFingerprintEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if active, dense := m.DistTableStatus(); !active || dense {
-		t.Errorf("DistTableStatus active=%v dense=%v, want active without dense above the ceiling", active, dense)
+	if active, u, dense := m.DistTableStatus(); !active || !dense || u >= d.Corpus.Gaz.Len() {
+		t.Errorf("DistTableStatus active=%v U=%d dense=%v, want dense over a universe below L=%d", active, u, dense, d.Corpus.Gaz.Len())
 	}
 	const want = uint64(0x1636163e41d03858)
 	got := fitFingerprint(m)
 	t.Logf("fingerprint: %#x", got)
 	if got != want {
-		t.Errorf("sparse bin-row fingerprint %#x differs from pinned %#x", got, want)
+		t.Errorf("wide-gazetteer fingerprint %#x differs from pinned %#x", got, want)
 	}
 }
 
-// TestSparseBinsDistEquivalence is the large-gazetteer leg of the
-// distance-table equivalence claim: at L > MaxDensePairCities, a
-// dist=table fit (served entirely from sparse bin rows — no dense
-// matrix exists) must still shadow the exact fit to ≥99% top-1 and
-// refit α within quantization tolerance.
-func TestSparseBinsDistEquivalence(t *testing.T) {
+// TestWideGazDistEquivalence is the large-gazetteer leg of the
+// distance-table equivalence claim: at L = 2,200, a dist=table fit must
+// still shadow the exact fit to ≥99% top-1 and refit α within
+// quantization tolerance.
+func TestWideGazDistEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence property tests run full fits; skipped in -short")
 	}
-	d, err := synth.Generate(sparseWorld(106, 300))
+	d, err := synth.Generate(wideWorld(106, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +181,15 @@ func TestSparseBinsDistEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if active, dense := table.DistTableStatus(); !active || dense {
-		t.Fatalf("DistTableStatus active=%v dense=%v, want sparse-active above the ceiling", active, dense)
+	if active, _, _ := table.DistTableStatus(); !active {
+		t.Fatal("DistTableStatus reports the table inactive on a dist=table fit")
 	}
 	agree := top1Agreement(exact, table, c)
 	aE, _ := exact.AlphaBeta()
 	aT, _ := table.AlphaBeta()
 	t.Logf("L=%d top-1 agreement %.4f; alpha exact %.4f table %.4f", d.Corpus.Gaz.Len(), agree, aE, aT)
 	if agree < equivAgreementMin {
-		t.Errorf("top-1 agreement %.4f < %.2f — sparse-row chain decoupled from exact chain", agree, equivAgreementMin)
+		t.Errorf("top-1 agreement %.4f < %.2f — table chain decoupled from exact chain", agree, equivAgreementMin)
 	}
 	if math.Abs(aE-aT) > equivAlphaTol {
 		t.Errorf("alpha diverged: exact %.4f vs table %.4f (tol %.2f)", aE, aT, equivAlphaTol)

@@ -20,16 +20,17 @@ type Model struct {
 	rng    *rand.Rand
 
 	// Distance-amortization subsystem (nil when Config.DistTable is off):
-	// the quantized log-distance table and the per-edge static weight
-	// caches of the pruned blocked kernel (see disttable.go).
+	// the quantized distance table, whose universe matrices live only
+	// while Fit runs, and the per-edge static weight caches of the
+	// pruned blocked kernel (see disttable.go).
 	dt   *distTable
 	etab []edgeCache
 
 	useF, useT bool
 
-	// phaseSec accumulates wall-clock seconds per sweep phase (edge /
-	// tweet / fold / …), written only by the sweep coordinator between
-	// barriers (see phase.go). Nil until the first sweep.
+	// phaseSec accumulates wall-clock seconds per fit phase (init/… /
+	// edge / tweet / fold / em / …), written only by the fit coordinator
+	// between barriers (see phase.go). Nil until the first phase.
 	phaseSec map[string]float64
 
 	// Candidacy and priors.
@@ -103,6 +104,12 @@ type Model struct {
 
 // Fit runs MLP inference over the corpus and returns the fitted model.
 func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
+	return fit(c, cfg, maxDenseUniverse)
+}
+
+// fit is Fit with the distance table's universe budget as a parameter,
+// so tests can force the single-lookup fallback of every kernel.
+func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -136,32 +143,40 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 		m.beta = powerlaw.PaperTwitterFit.Beta
 	}
 	if m.useF && (cfg.Alpha == 0 || cfg.Beta == 0) {
-		m.initPowerLawFromData(cfg.Alpha == 0, cfg.Beta == 0)
+		m.phase("init/powerlaw", func() { m.initPowerLawFromData(cfg.Alpha == 0, cfg.Beta == 0) })
 	}
+	m.phase("init/candidates", func() { m.cands = buildCandidates(c, cfg, m.useF, m.useT) })
 
-	// The distance table is built after the initial (α, β) fit so its
-	// first α-epoch memoizes the exponent the sweeps will actually use.
+	// The distance table is built over the candidate universe, after the
+	// initial (α, β) fit so its first α-epoch memoizes the exponent the
+	// sweeps will actually use. Neither step draws from the RNG.
 	if m.useF && cfg.DistTable != DistTableOff {
-		m.dt = distTableFor(m.dc, c.Gaz)
-		m.dt.setAlpha(m.alpha)
+		m.phase("init/disttable", func() {
+			m.dt = newDistTable(m.dc, c.Gaz.Len(), m.cands.cand, maxU)
+			m.dt.setAlpha(m.alpha)
+		})
 		if cfg.BlockedSampler {
 			m.etab = make([]edgeCache, len(c.Edges))
 		}
 	}
 
-	m.cands = buildCandidates(c, cfg, m.useF, m.useT)
-	m.initState()
+	m.phase("init/state", m.initState)
 
 	for iter := 1; iter <= cfg.Iterations; iter++ {
 		m.curIter = iter
 		m.sweep()
 		if cfg.GibbsEM && m.useF && iter%cfg.EMInterval == 0 {
-			m.refitPowerLaw()
+			m.phase("em", m.refitPowerLaw)
 		}
 		m.iterationsRun = iter
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(iter, m)
 		}
+	}
+	// The universe matrices live only while the sweeps need them; every
+	// later reader is served by single lookups of the same values.
+	if m.dt != nil {
+		m.dt.release()
 	}
 	return m, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"mlprofile/internal/dataset"
@@ -95,6 +97,14 @@ func (m *Model) ExplainEdge(s int) (EdgeExplanation, bool) {
 // location-based likelihood against the random model. This is the
 // deterministic read-out analogue of Eq. 10 for relationship assignments —
 // less noisy than the final Gibbs sample.
+//
+// The search visits both candidate sets in descending θ̂ and prunes. The
+// 1-mile clamp and α ≤ 0 give d^α ≤ 1, and fl(x·d) ≤ x for any d ≤ 1, so
+// no pair outweighs its θ̂_i·θ̂_j: a row stops at the first pair whose
+// product falls below the best weight, and the walk stops at the first
+// row whose leading product does. Equal weights keep the pair that comes
+// first in row-major (i, j) order, so the result is the exhaustive
+// scan's first maximum.
 func (m *Model) MAPExplainEdge(s int) (EdgeExplanation, bool) {
 	if !m.useF {
 		return EdgeExplanation{}, false
@@ -102,18 +112,25 @@ func (m *Model) MAPExplainEdge(s int) (EdgeExplanation, bool) {
 	e := m.corpus.Edges[s]
 	candI := m.cands.cand[e.From]
 	candJ := m.cands.cand[e.To]
+	// Stack buffers cover the default MaxCandidates, so a served
+	// explanation allocates nothing.
+	var bufI, bufJ [64]rankedTheta
+	ordI := m.thetaOrder(bufI[:0], e.From)
+	ordJ := m.thetaOrder(bufJ[:0], e.To)
 
 	bestX, bestY, bestW := 0, 0, -1.0
-	for i := range candI {
-		ti := m.theta(e.From, i, false)
-		if ti <= 0 {
-			continue
+	for _, a := range ordI {
+		if a.t <= 0 || a.t*ordJ[0].t < bestW {
+			break
 		}
-		for j := range candJ {
-			tj := m.theta(e.To, j, false)
-			w := ti * tj * m.pow(candI[i], candJ[j])
-			if w > bestW {
-				bestX, bestY, bestW = i, j, w
+		for _, b := range ordJ {
+			p := a.t * b.t
+			if p < bestW {
+				break
+			}
+			w := p * m.pow(candI[a.i], candJ[b.i])
+			if w > bestW || w == bestW && (a.i < bestX || a.i == bestX && b.i < bestY) {
+				bestX, bestY, bestW = a.i, b.i, w
 			}
 		}
 	}
@@ -124,6 +141,22 @@ func (m *Model) MAPExplainEdge(s int) (EdgeExplanation, bool) {
 		Y:     candJ[bestY],
 		Noisy: p1 > p0,
 	}, true
+}
+
+// rankedTheta is one candidate's index and profile probability θ̂.
+type rankedTheta struct {
+	i int
+	t float64
+}
+
+// thetaOrder appends user u's candidates with their θ̂ to ord, sorts
+// them in descending θ̂ and returns the result.
+func (m *Model) thetaOrder(ord []rankedTheta, u dataset.UserID) []rankedTheta {
+	for i := range m.cands.cand[u] {
+		ord = append(ord, rankedTheta{i, m.theta(u, i, false)})
+	}
+	slices.SortFunc(ord, func(a, b rankedTheta) int { return cmp.Compare(b.t, a.t) })
+	return ord
 }
 
 // TweetExplanation is the latent explanation of one tweeting relationship.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"mlprofile/internal/dataset"
 	"mlprofile/internal/gazetteer"
+	"mlprofile/internal/synth"
 )
 
 // TestMAPExplainAgreesWithSamples: the MAP explanation should usually
@@ -138,5 +140,128 @@ func TestVenueProbabilityReadout(t *testing.T) {
 	mu, _ := fitFold(t, d, Config{Seed: 5, Iterations: 2, Variant: FollowingOnly})
 	if mu.VenueProbability(0, 0) != 0 {
 		t.Error("MLP_U has no tweeting model; ψ̂ readout should be zero")
+	}
+}
+
+// mapExplainOracle is MAPExplainEdge's exhaustive form: every candidate
+// pair in row-major (i, j) order, θ̂ recomputed per pair, first maximum
+// kept. The pruned walk must reproduce it on every edge.
+func mapExplainOracle(m *Model, s int) EdgeExplanation {
+	e := m.corpus.Edges[s]
+	candI := m.cands.cand[e.From]
+	candJ := m.cands.cand[e.To]
+	bestX, bestY, bestW := 0, 0, -1.0
+	for i := range candI {
+		ti := m.theta(e.From, i, false)
+		if ti <= 0 {
+			continue
+		}
+		for j := range candJ {
+			tj := m.theta(e.To, j, false)
+			w := ti * tj * m.pow(candI[i], candJ[j])
+			if w > bestW {
+				bestX, bestY, bestW = i, j, w
+			}
+		}
+	}
+	p1 := m.cfg.RhoF * m.fr
+	p0 := (1 - m.cfg.RhoF) * m.beta * bestW
+	return EdgeExplanation{X: candI[bestX], Y: candJ[bestY], Noisy: p1 > p0}
+}
+
+// TestMAPExplainMatchesExhaustiveScan compares the pruned MAP walk with
+// the exhaustive oracle on every edge of the golden worlds — the
+// determinism world with the table on and off, the long-run tweet world
+// and the 2,200-city world — for the fitted model and for its
+// snapshot-loaded twin.
+func TestMAPExplainMatchesExhaustiveScan(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		world synth.Config
+		cfg   Config
+	}{
+		{"golden/table", *goldenWorld(t), func() Config { c := goldenCfg(); c.DistTable = DistTableOn; return c }()},
+		{"golden/exact", *goldenWorld(t), goldenCfg()},
+		{"long-run", longRunWorld, Config{Seed: 7, Iterations: 6, Workers: 1, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}},
+		{"wide", wideWorld(105, 150), Config{Seed: 7, Iterations: 4, Workers: 4, GibbsEM: true, EMInterval: 2, EMPairSample: 20000}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			d, err := synth.Generate(g.world)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Fit(&d.Corpus, g.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := m.EncodeSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := DecodeSnapshot(&d.Corpus, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mm := range []struct {
+				name string
+				m    *Model
+			}{{"fitted", m}, {"loaded", loaded}} {
+				for s := range d.Corpus.Edges {
+					got, ok := mm.m.MAPExplainEdge(s)
+					if want := mapExplainOracle(mm.m, s); !ok || got != want {
+						t.Fatalf("%s edge %d: pruned %+v (ok=%v), exhaustive %+v", mm.name, s, got, ok, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMAPExplainTieKeepsRowMajorFirst hand-builds an edge whose two best
+// pairs weigh exactly the same: both endpoints hold candidates A and B
+// (1,000 miles apart) with θ̂_I = (¼, ¾) and θ̂_J = (¾, ¼), so (A, A) and
+// (B, B) both weigh 3/16 at d = 1. The θ̂-ordered walk meets (B, B)
+// first, but the exhaustive scan's first maximum is (A, A) — row-major
+// index (0, 0) — and the pruned walk must return it, with single lookups
+// and on the exact path alike.
+func TestMAPExplainTieKeepsRowMajorFirst(t *testing.T) {
+	g := milesApartGazetteer(t, []float64{1000})
+	c := &dataset.Corpus{
+		Gaz:   g,
+		Users: []dataset.User{{ID: 0, Home: dataset.NoCity}, {ID: 1, Home: dataset.NoCity}},
+		Edges: []dataset.FollowEdge{{From: 0, To: 1}},
+	}
+	cand := []gazetteer.CityID{0, 1}
+	const alpha = -0.55
+	m := &Model{
+		cfg:    Config{RhoF: 0.1},
+		corpus: c,
+		dc:     newDistCalc(g),
+		useF:   true,
+		alpha:  alpha,
+		beta:   0.01,
+		fr:     0.5,
+		cands: &candidateSet{
+			cand:     [][]gazetteer.CityID{cand, cand},
+			gamma:    [][]float64{{1, 3}, {3, 1}},
+			gammaSum: []float64{4, 4},
+		},
+		phi:    [][]float64{{0, 0}, {0, 0}},
+		phiSum: []float64{0, 0},
+	}
+	for _, table := range []bool{false, true} {
+		m.dt = nil
+		if table {
+			m.dt = newDistTable(m.dc, g.Len(), m.cands.cand, 0)
+			m.dt.setAlpha(alpha)
+		}
+		if w00, w11 := m.theta(0, 0, false)*m.theta(1, 0, false)*m.pow(0, 0), m.theta(0, 1, false)*m.theta(1, 1, false)*m.pow(1, 1); w00 != w11 {
+			t.Fatalf("table=%v: constructed weights %v and %v do not tie", table, w00, w11)
+		}
+		got, ok := m.MAPExplainEdge(0)
+		want := mapExplainOracle(m, 0)
+		if !ok || got != want || got.X != 0 || got.Y != 0 {
+			t.Errorf("table=%v: MAP %+v (ok=%v), want the row-major first maximum %+v = (A, A)", table, got, ok, want)
+		}
 	}
 }

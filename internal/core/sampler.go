@@ -155,9 +155,9 @@ func (m *Model) drawEdgeSide(ctx *sweepCtx, cand []gazetteer.CityID, pg []float6
 // sums: the profile factor ϕ+γ (read from the maintained mirror), times
 // the distance factor to the fixed opposite endpoint when the edge
 // counts. The loop variants compute the same expression; they differ
-// only in where d^α comes from — the dense bin row of the opposite city
-// (one in-row load per candidate), its sparse pow row above the dense
-// ceiling, or the exact path. The candidate order and the single
+// only in where d^α comes from — the opposite city's universe pow row
+// (one in-row load per candidate), a single lookup per pair above the
+// universe budget, or the exact path. The candidate order and the single
 // downstream inversion are identical in all of them, which is what keeps
 // a DistTable chain coupled to the exact chain. The weights are
 // non-negative, so adding them unconditionally matches Categorical's
@@ -177,17 +177,14 @@ func (m *Model) edgeCum(cum []float64, cand []gazetteer.CityID, pg []float64, op
 	}
 	if dt := m.dt; dt != nil {
 		if row := dt.row(opp); row != nil {
-			pt := dt.powTab
+			uid := dt.uid
 			for c, l := range cand {
-				total += pg[c] * pt[row[l]]
+				total += pg[c] * row[uid[l]]
 				cum[c] = total
 			}
 		} else {
-			// Sparse pow row of the fixed opposite endpoint: logMiles is
-			// symmetric, so prow[l] is the same value pow(l, opp) yields.
-			prow := dt.powRow(opp)
 			for c, l := range cand {
-				total += pg[c] * prow[l]
+				total += pg[c] * dt.pow(l, opp)
 				cum[c] = total
 			}
 		}
@@ -354,19 +351,19 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 	// Beside each raw row mass (still needed for the within-row residual
 	// below), store the running pairSum — the row prefix the inversion
 	// binary-searches instead of scanning.
-	pt := m.dt.powTab
+	dt := m.dt
+	uid := dt.uid
 	rowCum := ctx.arena.rowCumBuf(nI)
 	var pairSum float64
 	for i := 0; i < nI; i++ {
 		si := ec.gRow[i]
-		if row := m.dt.row(candI[i]); row != nil {
+		if row := dt.row(candI[i]); row != nil {
 			for _, j := range sup {
-				si += phiJ[j] * pt[row[candJ[j]]]
+				si += phiJ[j] * row[uid[candJ[j]]]
 			}
 		} else {
-			prow := m.dt.powRow(candI[i])
 			for _, j := range sup {
-				si += phiJ[j] * prow[candJ[j]]
+				si += phiJ[j] * dt.pow(candI[i], candJ[j])
 			}
 		}
 		rm := wx[i] * si
@@ -410,20 +407,16 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 		u -= rowCum[xi] - rowMass[xi] // residual uniform within row xi
 		yi := nJ - 1
 		wxi := wx[xi]
-		row := m.dt.row(candI[xi])
-		var prow []float64
-		if row == nil {
-			prow = m.dt.powRow(candI[xi])
-		}
+		row := dt.row(candI[xi])
 		// The within-row column pass computes each product, accumulates,
 		// and early-exits at the inversion point.
 		acc := 0.0
 		for j := 0; j < nJ; j++ {
 			var d float64
 			if row != nil {
-				d = pt[row[candJ[j]]]
+				d = row[uid[candJ[j]]]
 			} else {
-				d = prow[candJ[j]]
+				d = dt.pow(candI[xi], candJ[j])
 			}
 			acc += wxi * wy[j] * d
 			if u < acc {
@@ -645,8 +638,8 @@ func (m *Model) refitPowerLaw() {
 	if alpha, beta, ok := m.fitLawAgainstPairs(num); ok {
 		m.alpha, m.beta = alpha, beta
 		if m.dt != nil {
-			// New α-epoch: rebuild the memoized pow table; the per-edge
-			// static caches invalidate lazily on their next visit.
+			// New α-epoch: rebuild the pow matrix; the per-edge static
+			// caches invalidate lazily on their next visit.
 			m.dt.setAlpha(m.alpha)
 		}
 	}

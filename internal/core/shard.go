@@ -361,14 +361,13 @@ func (m *Model) drawEdgeSideStale(ctx *sweepCtx, cand []gazetteer.CityID, gamma,
 		}
 		if dt := m.dt; dt != nil {
 			if row := dt.row(opp); row != nil {
-				pt := dt.powTab
+				uid := dt.uid
 				for c, l := range cand {
-					w[c] *= pt[row[l]]
+					w[c] *= row[uid[l]]
 				}
 			} else {
-				prow := dt.powRow(opp)
 				for c, l := range cand {
-					w[c] *= prow[l]
+					w[c] *= dt.pow(l, opp)
 				}
 			}
 		} else {

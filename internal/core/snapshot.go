@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -47,6 +48,20 @@ var snapshotMagic = [8]byte{'M', 'L', 'P', 'S', 'N', 'A', 'P', '\n'}
 // (flags, shard index, shard count) and appended Shards/StaleBoundary
 // to the config section.
 const SnapshotVersion uint32 = 2
+
+// ErrSnapshotAlpha refuses a snapshot whose power-law exponent α is
+// NaN, infinite or positive. A fit keeps α ≤ 0 (distance decay), and
+// MAPExplainEdge's pruning relies on d^α ≤ 1, so such bytes can only
+// come from a corrupted or forged file.
+var ErrSnapshotAlpha = errors.New("core: snapshot alpha is not a finite exponent <= 0")
+
+// checkSnapshotAlpha vets a decoded α against ErrSnapshotAlpha.
+func checkSnapshotAlpha(alpha float64) error {
+	if math.IsNaN(alpha) || math.IsInf(alpha, 0) || alpha > 0 {
+		return fmt.Errorf("%w (alpha=%v)", ErrSnapshotAlpha, alpha)
+	}
+	return nil
+}
 
 // snapshotFlagSharded marks a file that carries one shard's slice of
 // the model state rather than a whole model. Such files live inside a
@@ -325,16 +340,17 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 	m.iterationsRun = iters
 	m.curIter = iters
 
-	// The distance table serves MAPExplainEdge's d^α exactly as the
-	// fitted model's last α-epoch did: same table, same final exponent.
-	if m.useF && cfg.DistTable != DistTableOff {
-		m.dt = distTableFor(m.dc, c.Gaz)
-		m.dt.setAlpha(m.alpha)
-	}
-
 	// Candidacy vectors and priors are deterministic in (corpus, config);
 	// rebuilding reproduces the exact γ the counts were accumulated under.
 	m.cands = buildCandidates(c, cfg, m.useF, m.useT)
+
+	// The distance table serves MAPExplainEdge's d^α exactly as the
+	// fitted model does after Fit: single lookups at the final exponent,
+	// with no universe matrices (budget 0).
+	if m.useF && cfg.DistTable != DistTableOff {
+		m.dt = newDistTable(m.dc, c.Gaz.Len(), m.cands.cand, 0)
+		m.dt.setAlpha(m.alpha)
+	}
 
 	m.numVenues = c.Venues.Len()
 	m.deltaTotal = m.cfg.Delta * float64(m.numVenues)
@@ -525,6 +541,9 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 	iters := int(r.i64())
 	if r.err != nil {
 		return nil, r.err
+	}
+	if err := checkSnapshotAlpha(alpha); err != nil {
+		return nil, err
 	}
 	m := newSnapshotModel(c, cfg, alpha, beta, iters)
 

@@ -380,6 +380,9 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 			if cfg.Shards != man.ShardCount {
 				return nil, fmt.Errorf("core: snapshot fitted with Shards=%d but directory holds %d shards", cfg.Shards, man.ShardCount)
 			}
+			if err := checkSnapshotAlpha(alpha); err != nil {
+				return nil, err
+			}
 			m = newSnapshotModel(c, cfg, alpha, beta, iters)
 			m.phi = make([][]float64, len(c.Users))
 			m.phiSum = make([]float64, len(c.Users))

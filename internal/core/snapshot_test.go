@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -121,6 +122,70 @@ func withRetiredSlots(t *testing.T, raw []byte, psi, draw uint64) []byte {
 	sum := sha256.Sum256(out[:len(out)-sha256.Size])
 	copy(out[len(out)-sha256.Size:], sum[:])
 	return out
+}
+
+// snapshotAlphaOffset is the byte offset of the refined α in a snapshot
+// file, whole-model or shard slice: after the retired slots come
+// DisableNoiseMixture, DisableSupervision and AllLocationCandidates
+// (1 byte each), Shards (8) and StaleBoundary (1).
+var snapshotAlphaOffset = retiredSlotsOffset + 2*8 + 3 + 8 + 1
+
+// withAlpha returns a copy of the snapshot file raw with α replaced and
+// the trailing checksum recomputed, as a forged file would carry it.
+func withAlpha(raw []byte, alpha float64) []byte {
+	out := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(out[snapshotAlphaOffset:], math.Float64bits(alpha))
+	sum := sha256.Sum256(out[:len(out)-sha256.Size])
+	copy(out[len(out)-sha256.Size:], sum[:])
+	return out
+}
+
+// TestSnapshotRejectsBadAlpha: a snapshot whose α is positive, infinite
+// or NaN — checksums recomputed, so only the value is wrong — must be
+// refused with ErrSnapshotAlpha by the whole-model decoder and by the
+// sharded loaders, since MAPExplainEdge's pruning relies on α ≤ 0.
+func TestSnapshotRejectsBadAlpha(t *testing.T) {
+	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 150, NumLocations: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	alpha, _ := m.AlphaBeta()
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[snapshotAlphaOffset:])); got != alpha {
+		t.Fatalf("α at byte %d reads %v, want the fitted %v", snapshotAlphaOffset, got, alpha)
+	}
+	if _, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withAlpha(raw, 0))); err != nil {
+		t.Errorf("α = 0 refused: %v", err)
+	}
+
+	sharded, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withAlpha(raw, bad))); !errors.Is(err, ErrSnapshotAlpha) {
+			t.Errorf("whole-model snapshot with α=%v: error %v, want ErrSnapshotAlpha", bad, err)
+		}
+		dir := filepath.Join(t.TempDir(), "snap")
+		if err := sharded.SaveShardedSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		rewriteSnapshotDir(t, dir, func(data []byte) []byte { return withAlpha(data, bad) })
+		if _, err := LoadSnapshotShard(&d.Corpus, dir, 1); !errors.Is(err, ErrSnapshotAlpha) {
+			t.Errorf("shard slice with α=%v: error %v, want ErrSnapshotAlpha", bad, err)
+		}
+		if _, err := LoadSnapshot(&d.Corpus, dir); !errors.Is(err, ErrSnapshotAlpha) {
+			t.Errorf("sharded directory with α=%v: error %v, want ErrSnapshotAlpha", bad, err)
+		}
+	}
 }
 
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
@@ -327,6 +392,13 @@ func TestSnapshotVariants(t *testing.T) {
 // checksums to match.
 func setDirRetiredSlots(t *testing.T, dir string, psi, draw uint64) {
 	t.Helper()
+	rewriteSnapshotDir(t, dir, func(data []byte) []byte { return withRetiredSlots(t, data, psi, draw) })
+}
+
+// rewriteSnapshotDir passes every slice file of a sharded snapshot
+// directory through edit and updates the manifest's checksums to match.
+func rewriteSnapshotDir(t *testing.T, dir string, edit func([]byte) []byte) {
+	t.Helper()
 	path := filepath.Join(dir, snapshotManifestFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -341,7 +413,7 @@ func setDirRetiredSlots(t *testing.T, dir string, psi, draw uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data = withRetiredSlots(t, data, psi, draw)
+		data = edit(data)
 		if err := os.WriteFile(filepath.Join(dir, e.Name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -194,9 +194,10 @@ func writeLines(path string, fill func(*bufio.Writer) error) error {
 }
 
 // readLines parses a TSV file with exactly wantFields fields per line,
-// reporting the file and line number on error. It shares tsvScanner with
-// the streaming loader, so both paths get the explicit line-length cap
-// and the named ErrLineTooLong on overlong rows.
+// reporting the file and line number on error. handle must not keep the
+// field slice past its call: the scanner reuses it. It shares tsvScanner
+// with the streaming loader, so both paths get the explicit line-length
+// cap and the named ErrLineTooLong on overlong rows.
 func readLines(path string, wantFields int, handle func(int, []string) error) error {
 	sc, err := openTSV(path, wantFields)
 	if err != nil {
