@@ -11,7 +11,6 @@ package mlprofile
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -296,42 +295,35 @@ var benchDistModes = []struct {
 
 // BenchmarkGibbsSweep measures raw sampler throughput: relationships
 // resampled per second on the bench world, across the execution matrix —
-// per-variable vs blocked edge kernel, exact vs distance-table d^α,
-// sequential vs partitioned parallel sweep. The table/exact ratio on one
-// kernel is the distance-table speedup, and the blocked/exact leg at the
-// default MaxCandidates=40 is the O(|cand|²) wall the ROADMAP called
-// unusable.
+// per-variable vs blocked edge kernel, exact vs distance-table d^α, on
+// the sequential chain. The table/exact ratio on one kernel is the
+// distance-table speedup, and the blocked/exact leg at the default
+// MaxCandidates=40 is the O(|cand|²) wall the ROADMAP called unusable.
 func BenchmarkGibbsSweep(b *testing.B) {
 	d, test := ablationSetup(b)
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
 	rels := len(c.Edges) + len(c.Tweets)
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
 	for _, kernel := range []struct {
 		name    string
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
 		for _, dist := range benchDistModes {
-			for _, workers := range workerCounts {
-				name := fmt.Sprintf("kernel=%s/dist=%s/workers=%d", kernel.name, dist.name, workers)
-				b.Run(name, func(b *testing.B) {
-					// 8 sweeps per fit and a reduced init pair sample, so
-					// the op measures sweep throughput rather than the
-					// per-fit setup; cmd/mlpbench separates the two exactly.
-					const sweeps = 8
-					for i := 0; i < b.N; i++ {
-						cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1,
-							EMPairSample: 20000, Workers: workers,
-							BlockedSampler: kernel.blocked, DistTable: dist.mode}
-						if _, err := core.Fit(c, cfg); err != nil {
-							b.Fatal(err)
-						}
+			// "/workers=1" keeps the names cmd/mlpbench's cells share.
+			name := fmt.Sprintf("kernel=%s/dist=%s/workers=1", kernel.name, dist.name)
+			b.Run(name, func(b *testing.B) {
+				// 8 sweeps per fit and a reduced init pair sample, so
+				// the op measures sweep throughput rather than the
+				// per-fit setup; cmd/mlpbench separates the two exactly.
+				const sweeps = 8
+				for i := 0; i < b.N; i++ {
+					cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1, EMPairSample: 20000,
+						BlockedSampler: kernel.blocked, DistTable: dist.mode}
+					if _, err := core.Fit(c, cfg); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
-				})
-			}
+				}
+				b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
+			})
 		}
 	}
 }
@@ -380,23 +372,6 @@ func BenchmarkTweetKernel(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(c.Tweets)*sweeps*b.N)/b.Elapsed().Seconds(), "tweet-updates/s")
-}
-
-// BenchmarkFitWorkers runs a full multi-sweep fit (noise mixture and
-// Gibbs-EM on) at both worker counts — the end-to-end wall-clock number
-// behind the parallel-sweep work.
-func BenchmarkFitWorkers(b *testing.B) {
-	d, test := ablationSetup(b)
-	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Fit(c, core.Config{Seed: 9, Iterations: 10, GibbsEM: true, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkHaversine(b *testing.B) {

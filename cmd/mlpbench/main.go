@@ -1,7 +1,8 @@
 // Command mlpbench runs the sampler benchmark matrix — edge kernel ×
-// distance mode × worker count, plus the shard axis — on a synthetic
-// world and writes the results as JSON, so the performance trajectory is
-// tracked as a checked-in artifact from PR to PR instead of scrollback.
+// distance mode on the sequential chain, plus the shard axis — on a
+// synthetic world and writes the results as JSON, so the performance
+// trajectory is tracked as a checked-in artifact from PR to PR instead
+// of scrollback.
 //
 // Every cell also records a per-phase breakdown (edge / tweet / fold /
 // shard / boundary / em seconds per sweep, from Model.PhaseSeconds; the
@@ -60,9 +61,7 @@ type Result struct {
 	Name         string             `json:"name"`
 	Kernel       string             `json:"kernel"`
 	Dist         string             `json:"dist"`
-	Workers      int                `json:"workers"`
 	Shards       int                `json:"shards,omitempty"`
-	Stale        bool               `json:"stale,omitempty"`
 	InitSeconds  float64            `json:"init_seconds"`
 	SweepSeconds float64            `json:"sweep_seconds"`
 	RelsPerSec   float64            `json:"rels_per_sec"`
@@ -153,56 +152,41 @@ func main() {
 		Count:      *count,
 	}
 
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
 	for _, kernel := range []struct {
 		name    string
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
 		for _, dist := range []core.DistTableMode{core.DistTableOff, core.DistTableOn} {
-			for _, workers := range workerCounts {
-				cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Workers: workers,
-					BlockedSampler: kernel.blocked, DistTable: dist}
-				initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-				r := Result{
-					Name:         fmt.Sprintf("kernel=%s/dist=%s/workers=%d", kernel.name, dist, workers),
-					Kernel:       kernel.name,
-					Dist:         dist.String(),
-					Workers:      workers,
-					InitSeconds:  initS,
-					SweepSeconds: perSweep,
-					RelsPerSec:   float64(rels) / perSweep,
-					PhaseSeconds: phases,
-				}
-				rep.Results = append(rep.Results, r)
-				logCell(&r)
+			cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, BlockedSampler: kernel.blocked, DistTable: dist}
+			initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
+			r := Result{
+				// The "/workers=1" suffix names these cells as the retired
+				// worker axis did, so -compare and -trend still match them
+				// against older reports.
+				Name:         fmt.Sprintf("kernel=%s/dist=%s/workers=1", kernel.name, dist),
+				Kernel:       kernel.name,
+				Dist:         dist.String(),
+				InitSeconds:  initS,
+				SweepSeconds: perSweep,
+				RelsPerSec:   float64(rels) / perSweep,
+				PhaseSeconds: phases,
 			}
+			rep.Results = append(rep.Results, r)
+			logCell(&r)
 		}
 	}
 
 	// Shard axis: the sharded pipeline with the distance table on, across
-	// shard counts, plus the stale boundary protocol at the widest count.
-	// Shards=1 is by construction the single-chain sampler already
-	// measured above, so the axis starts at 2.
-	for _, sc := range []struct {
-		shards int
-		stale  bool
-	}{{2, false}, {4, false}, {4, true}} {
-		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: sc.shards, StaleBoundary: sc.stale,
-			DistTable: core.DistTableOn}
+	// shard counts. Shards=1 is by construction the sequential chain
+	// already measured above, so the axis starts at 2.
+	for _, shards := range []int{2, 4} {
+		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: shards, DistTable: core.DistTableOn}
 		initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-		name := fmt.Sprintf("kernel=pervar/dist=table/shards=%d", sc.shards)
-		if sc.stale {
-			name += "/stale"
-		}
 		r := Result{
-			Name:         name,
+			Name:         fmt.Sprintf("kernel=pervar/dist=table/shards=%d", shards),
 			Kernel:       "pervar",
 			Dist:         core.DistTableOn.String(),
-			Shards:       sc.shards,
-			Stale:        sc.stale,
+			Shards:       shards,
 			InitSeconds:  initS,
 			SweepSeconds: perSweep,
 			RelsPerSec:   float64(rels) / perSweep,
@@ -359,9 +343,9 @@ func compareReports(path string, fresh *Report) {
 			old.Users, old.Locations, old.Edges, old.Tweets,
 			fresh.Users, fresh.Locations, fresh.Edges, fresh.Tweets)
 	}
-	// Workers and Shards cells measure speedup only when the cores are
-	// there; a run on a different core count (or one from before nproc
-	// was recorded, read as 0) is not comparable cell for cell.
+	// Shards cells measure speedup only when the cores are there; a run
+	// on a different core count (or one from before nproc was recorded,
+	// read as 0) is not comparable cell for cell.
 	if old.NProc != fresh.NProc || old.GOMAXPROCS != fresh.GOMAXPROCS {
 		log.Printf("compare: cores differ (old nproc=%d gomaxprocs=%d vs new nproc=%d gomaxprocs=%d) — deltas are indicative only",
 			old.NProc, old.GOMAXPROCS, fresh.NProc, fresh.GOMAXPROCS)

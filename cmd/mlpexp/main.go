@@ -31,9 +31,7 @@ func main() {
 		folds     = flag.Int("folds", 5, "cross-validation folds")
 		foldLimit = flag.Int("fold-limit", 0, "folds actually evaluated (0 = all)")
 		iters     = flag.Int("iterations", 15, "Gibbs iterations per fit")
-		workers   = flag.Int("workers", 0, "Gibbs sweep goroutines per fit (0 = GOMAXPROCS, except 1 inside a multi-fold CV pass; 1 = exact sequential sampler)")
-		shards    = flag.Int("shards", 1, "user shards per fit (1 = single-chain sampler; >1 runs the sharded pipeline and ignores -workers)")
-		stale     = flag.Bool("staleboundary", false, "resample shard-boundary edges against stale per-sweep snapshots (shards > 1 only)")
+		shards    = flag.Int("shards", 1, "user shards per fit, the one parallel Gibbs sweep (1 = the exact sequential sampler; N > 1 = a parallel chain, deterministic per seed and N)")
 		noEM      = flag.Bool("no-em", false, "disable Gibbs-EM refinement")
 		dtable    = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
 	)
@@ -46,9 +44,7 @@ func main() {
 		Folds:          *folds,
 		FoldLimit:      *foldLimit,
 		Iterations:     *iters,
-		Workers:        *workers,
 		Shards:         *shards,
-		StaleBoundary:  *stale,
 		DisableGibbsEM: *noEM,
 		DistTable:      core.DistTableFor(*dtable),
 	})

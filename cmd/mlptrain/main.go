@@ -34,11 +34,9 @@ func main() {
 		variant = flag.String("variant", "mlp", "model variant: mlp, mlp_u, mlp_c")
 		topK    = flag.Int("top", 3, "profile locations per user to emit")
 		em      = flag.Bool("em", true, "refine (alpha, beta) with Gibbs-EM")
-		workers = flag.Int("workers", 0, "Gibbs sweep goroutines (0 = GOMAXPROCS; 1 = exact sequential sampler)")
 		dtable  = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
 		snap    = flag.String("snapshot", "", "also write a fitted-model snapshot here for mlpserve (a directory when -shards > 1)")
-		shards  = flag.Int("shards", 1, "user shards for the sharded Gibbs pipeline (1 = single-chain exact sampler)")
-		stale   = flag.Bool("staleboundary", false, "resample boundary edges against stale per-sweep snapshots instead of the synced barrier (shards > 1 only)")
+		shards  = flag.Int("shards", 1, "user shards, the one parallel Gibbs sweep (1 = the exact sequential sampler, the same chain on every machine; N > 1 = a parallel chain, deterministic per seed and N)")
 		stream  = flag.Bool("stream", false, "load the dataset through the chunked streaming reader (bounded peak memory)")
 	)
 	flag.Parse()
@@ -70,14 +68,12 @@ func main() {
 	fmt.Printf("loaded %s\n", d.Corpus.Stats())
 
 	m, err := core.Fit(&d.Corpus, core.Config{
-		Seed:          *seed,
-		Iterations:    *iters,
-		Variant:       v,
-		Workers:       *workers,
-		Shards:        *shards,
-		StaleBoundary: *stale,
-		GibbsEM:       *em,
-		DistTable:     core.DistTableFor(*dtable),
+		Seed:       *seed,
+		Iterations: *iters,
+		Variant:    v,
+		Shards:     *shards,
+		GibbsEM:    *em,
+		DistTable:  core.DistTableFor(*dtable),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -162,9 +162,9 @@ func (p *Pass) Diagnostics() []Diagnostic { return p.diags }
 func (p *Pass) Suppressed() int { return p.suppressed }
 
 // DeterministicPackages is the set of import paths whose code must be
-// reproducible bit-for-bit given (Seed, Workers, Shards): the sampler
-// core, the corpus layer, the synthetic-world generator, the RNG
-// utilities, and the experiment harness. maporder and wallclock only
+// reproducible bit-for-bit given (Seed, Shards): the sampler core, the
+// corpus layer, the synthetic-world generator, the RNG utilities, and
+// the experiment harness. maporder and wallclock only
 // fire inside these packages; seedrand, lockcheck, and closecheck run
 // everywhere.
 var DeterministicPackages = map[string]bool{

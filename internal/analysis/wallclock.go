@@ -10,15 +10,14 @@ import (
 // Wallclock forbids reading the wall clock (time.Now, time.Since,
 // time.Until — as calls or as function values) inside deterministic
 // packages: sampler output must be a pure function of (corpus, Seed,
-// Workers, Shards), and wall-clock reads are how nondeterminism
-// sneaks into "deterministic" code. Code that genuinely needs timing
-// should take an injectable clock the way internal/serve's circuit
-// breaker does (a `now func() time.Time` field defaulted at
-// construction), or live on the allowlist: phase/bench/metrics
-// accounting files where timing is the point and the values never
-// feed the chain. The allowlist is configurable via
-// AllowWallclockFiles (mlplint -wallclock.allow) and ships with
-// internal/core/phase.go, the per-sweep phase-timing accrual.
+// Shards), and wall-clock reads are how nondeterminism sneaks into
+// "deterministic" code. Code that genuinely needs timing should take an
+// injectable clock the way internal/serve's circuit breaker does (a
+// `now func() time.Time` field defaulted at construction), or live on
+// the allowlist: phase/bench/metrics accounting files where timing is
+// the point and the values never feed the chain. The allowlist is
+// configurable via AllowWallclockFiles (mlplint -wallclock.allow) and
+// ships with internal/core/phase.go, the per-sweep phase-timing accrual.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbid time.Now/time.Since/time.Until in deterministic packages; " +

@@ -19,7 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // DistTableMode selects how the sampler evaluates the relationship
@@ -94,35 +93,19 @@ type Config struct {
 	// observes convergence in ~14).
 	Iterations int
 
-	// Workers is the number of goroutines running each Gibbs sweep
-	// (default runtime.GOMAXPROCS(0)). Workers=1 is the paper's exact
-	// sequential collapsed sampler and is bit-for-bit reproducible from
-	// Seed. Workers>1 partitions each sweep into user-disjoint shards
-	// (see DESIGN.md §6): results remain deterministic for a fixed
-	// (Seed, Workers) pair but differ from the sequential chain, because
-	// concurrent tweet updates read venue counts frozen at the start of
-	// the sweep's tweet phase.
-	Workers int
-
 	// Shards is the number of user partitions each Gibbs sweep is run
-	// over (default 1). Shards=1 is the single-chain sampler — exactly
-	// the pre-sharding code path, golden-locked bit-for-bit. Shards>1
-	// partitions users by dataset.ShardOf: each shard sweeps its intra-
-	// shard edges and its users' tweets concurrently on its own count
-	// state, and boundary edges (endpoints on different shards) are
-	// resampled at a per-sweep barrier against synced counts (see
-	// DESIGN.md §11). Deterministic for a fixed (Seed, Shards) pair.
-	// Workers is ignored when Shards>1 — the shards are the parallelism.
+	// over, and the sampler's only parallelism (default 1). Shards=1 is
+	// the paper's exact sequential collapsed sampler on the model RNG,
+	// bit-for-bit reproducible from Seed on any machine. Shards>1 is an
+	// opt-in parallel chain: users are partitioned by dataset.ShardOf,
+	// each shard sweeps its intra-shard edges and its users' tweets
+	// concurrently on its own RNG stream and count overlay, and boundary
+	// edges (endpoints on different shards) are resampled after a
+	// per-sweep barrier against synced counts (see DESIGN.md §6 and §11).
+	// Deterministic for a fixed (Seed, Shards) pair, but a different chain
+	// for every shard count. At most 65,536: each shard's stream key
+	// holds the shard index in 16 bits.
 	Shards int
-
-	// StaleBoundary switches the boundary-edge phase to Hogwild-style
-	// stale reads: each shard resamples its boundary edges in corpus
-	// order against the remote endpoint's sweep-start ϕ snapshot, with
-	// remote-side writes deferred to the barrier. Trades the synced
-	// boundary phase's extra barrier for staleness that is bounded by
-	// one sweep; deterministic and golden-pinned like the synced protocol.
-	// Ignored when Shards<=1; the blocked kernel always syncs.
-	StaleBoundary bool
 
 	// RhoF and RhoT are the mixture priors for noisy following/tweeting
 	// relationships (default 0.1 each).
@@ -205,9 +188,6 @@ func (c Config) withDefaults() Config {
 	if c.Iterations == 0 {
 		c.Iterations = 20
 	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
@@ -257,11 +237,11 @@ func (c Config) validate() error {
 	if c.Iterations < 1 {
 		return errors.New("core: Iterations must be >= 1")
 	}
-	if c.Workers < 1 {
-		return errors.New("core: Workers must be >= 1 (or zero for GOMAXPROCS)")
-	}
 	if c.Shards < 1 {
 		return errors.New("core: Shards must be >= 1 (or zero for single-chain)")
+	}
+	if c.Shards > maxShards {
+		return fmt.Errorf("core: Shards=%d exceeds the limit of %d (shard field of the sweep RNG stream key)", c.Shards, maxShards)
 	}
 	if c.RhoF < 0 || c.RhoF >= 1 || c.RhoT < 0 || c.RhoT >= 1 {
 		return fmt.Errorf("core: noise priors (%f, %f) must lie in [0,1)", c.RhoF, c.RhoT)

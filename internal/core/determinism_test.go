@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"mlprofile/internal/dataset"
@@ -42,12 +43,12 @@ func fitFingerprint(m *Model) uint64 {
 // labeledPairHistogram and initState fixes). It exercises the noise
 // mixture, Gibbs-EM, and both observation types. DistTable is pinned off:
 // this golden locks the paper's exact arithmetic, which the distance-table
-// refactor is required to leave bit-for-bit intact.
+// refactor is required to leave bit-for-bit intact. No parallelism field
+// is set: the default chain is the sequential one.
 func goldenCfg() Config {
 	return Config{
 		Seed:         7,
 		Iterations:   8,
-		Workers:      1,
 		GibbsEM:      true,
 		EMInterval:   3,
 		EMPairSample: 20000,
@@ -61,51 +62,53 @@ func goldenWorld(t testing.TB) *synth.Config {
 }
 
 // goldenFingerprint is the fingerprint of the pre-parallelization
-// sequential sampler on the golden world/config. Workers=1 must keep
-// reproducing it bit-for-bit: the parallel refactor is required to leave
-// the sequential path's RNG consumption and arithmetic untouched.
+// sequential sampler on the golden world/config. The default chain must
+// keep reproducing it bit-for-bit on every machine: no refactor may
+// change the sequential path's RNG consumption or arithmetic.
 const goldenFingerprint = uint64(0xdeef2b9070a15517)
 
-// TestWorkers1MatchesSequentialGolden locks the Workers=1 exact path to
-// the pre-change sequential sampler.
+// TestWorkers1MatchesSequentialGolden locks the default chain to the
+// pre-change sequential sampler whatever the core count: a fit with no
+// parallelism field set must hit goldenFingerprint under GOMAXPROCS 1
+// and 4. (The name dates from the retired Workers knob, whose GOMAXPROCS
+// default made the default chain depend on the machine.)
 func TestWorkers1MatchesSequentialGolden(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Fit(&d.Corpus, goldenCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := fitFingerprint(m)
-	t.Logf("fingerprint: %#x", got)
-	if got != goldenFingerprint {
-		t.Errorf("Workers=1 fingerprint %#x differs from the sequential golden %#x", got, goldenFingerprint)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		m, err := Fit(&d.Corpus, goldenCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fitFingerprint(m)
+		t.Logf("GOMAXPROCS=%d fingerprint: %#x", procs, got)
+		if got != goldenFingerprint {
+			t.Errorf("GOMAXPROCS=%d: default fingerprint %#x differs from the sequential golden %#x", procs, got, goldenFingerprint)
+		}
 	}
 }
 
-// goldenMatrix pins every Workers × DistTable execution mode to a frozen
-// fingerprint on the golden world/config, so any refactor that changes
-// RNG consumption, partitioning, or table arithmetic in any mode is
-// caught immediately. The Workers=1 exact entry is the original
-// pre-parallelization golden; the others were captured from the first
-// distance-table implementation (all four verified bit-stable across
-// runs by TestParallelDeterministicForFixedWorkers-style re-fits).
+// goldenMatrix pins the sequential chain under both DistTable modes to
+// the frozen golden fingerprint, so any refactor that changes RNG
+// consumption or table arithmetic in either mode is caught immediately.
+// Cell names keep the "workers=1/" prefix of the retired Workers axis,
+// so the surviving cells keep their IDs.
 var goldenMatrix = []struct {
 	name        string
-	workers     int
 	dist        DistTableMode
 	fingerprint uint64
 }{
-	// The table entries equal their exact counterparts: on the golden
-	// world not a single draw flips under quantization, so the coupled
-	// chains remain bit-identical end to end. A diverging table
-	// fingerprint with an intact exact fingerprint means the fast path
-	// decoupled (RNG consumption or inversion order drifted).
-	{"workers=1/exact", 1, DistTableOff, goldenFingerprint},
-	{"workers=1/table", 1, DistTableOn, goldenFingerprint},
-	{"workers=4/exact", 4, DistTableOff, 0x41becc5c7b68d6e1},
-	{"workers=4/table", 4, DistTableOn, 0x41becc5c7b68d6e1},
+	// The table entry equals its exact counterpart: on the golden world
+	// not a single draw flips under quantization, so the coupled chains
+	// remain bit-identical end to end. A diverging table fingerprint with
+	// an intact exact fingerprint means the fast path decoupled (RNG
+	// consumption or inversion order drifted).
+	{"workers=1/exact", DistTableOff, goldenFingerprint},
+	{"workers=1/table", DistTableOn, goldenFingerprint},
 }
 
 // goldenChainName suffixes every golden cell name with the venue-count
@@ -125,7 +128,6 @@ func TestGoldenFingerprintMatrix(t *testing.T) {
 	for _, g := range goldenMatrix {
 		t.Run(g.name+goldenChainName, func(t *testing.T) {
 			cfg := goldenCfg()
-			cfg.Workers = g.workers
 			cfg.DistTable = g.dist
 			cfg.OnIteration = func(_ int, m *Model) { checkInvariants(t, m) }
 			m, err := Fit(&d.Corpus, cfg)

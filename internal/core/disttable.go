@@ -83,7 +83,7 @@ func (m *Model) DistTableStatus() (active bool, universe int, dense bool) {
 // distTable memoizes the power-law factor over quantized log-distances.
 // It is built once per fit; pm is rebuilt in place on every α-epoch.
 // All methods except setAlpha and release are read-only and safe for
-// concurrent use by the sweep workers (setAlpha only runs between
+// concurrent use by the sweep's shards (setAlpha only runs between
 // sweeps, release after the last).
 type distTable struct {
 	dc    *distCalc
@@ -276,7 +276,7 @@ type edgeCache struct {
 
 // edgeCacheFor returns edge s's cache, rebuilding its static row sums if
 // the α-epoch moved. Within one sweep every edge is visited by exactly
-// one worker, and sweeps are separated by barriers, so the lazy rebuild
+// one stream, and sweeps are separated by barriers, so the lazy rebuild
 // needs no synchronization.
 func (m *Model) edgeCacheFor(s int, candI, candJ []gazetteer.CityID, gammaJ []float64) *edgeCache {
 	ec := &m.etab[s]

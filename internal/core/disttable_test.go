@@ -203,10 +203,9 @@ func TestDistTableFallbackAgreesWithDense(t *testing.T) {
 
 // TestUniverseBudgetFallbackGoldens runs the golden world with the
 // universe budget forced to 0, so every kernel takes its single-lookup
-// branch: the per-variable kernel (edgeCum), the blocked kernel
-// (edgeCacheFor, updateEdgeBlockedTable) and the Shards=4 stale protocol
-// (drawEdgeSideStale). Each fit must reproduce the dense fit's pinned
-// fingerprint.
+// branch: the per-variable kernel (edgeCum) and the blocked kernel
+// (edgeCacheFor, updateEdgeBlockedTable). Each fit must reproduce the
+// dense fit's pinned fingerprint.
 func TestUniverseBudgetFallbackGoldens(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -219,7 +218,6 @@ func TestUniverseBudgetFallbackGoldens(t *testing.T) {
 	}{
 		{"per-variable", func(*Config) {}, goldenFingerprint},
 		{"blocked", func(c *Config) { c.BlockedSampler = true }, goldenBlocked[1].fingerprint},
-		{"shards=4/stale", func(c *Config) { c.Shards, c.StaleBoundary = 4, true }, goldenSharded[1].fingerprint},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			cfg := goldenCfg()

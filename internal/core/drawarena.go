@@ -4,20 +4,18 @@ package core
 // stream writes — the per-variable/tweet weight and prefix-sum buffers
 // and the blocked kernels' factored buffers — unifying what used to be
 // five hand-rolled slices spread over sweepCtx. One arena per sweepCtx:
-// the sequential sampler's context owns one, and each parallel worker
+// the sequential sampler's context owns one, and each shard's context
 // owns its own, so no two goroutines ever share a buffer inside a color
-// class or tweet shard. All getters grow to capacity and re-slice, so
+// class or shard. All getters grow to capacity and re-slice, so
 // the hot path performs no per-relationship allocations after warm-up.
 //
 // Every draw inverts one uniform over running prefix sums (DESIGN.md
 // §9): cum holds them for the per-variable and tweet kernels, pair for
 // the exact blocked kernel's joint draw, and rowCum — beside the raw
 // rowMass, still needed for the within-row residual — for the
-// blocked-table kernel's row inversion. weights, wx and wy hold raw
-// weights for the callers that build them before a
-// randutil.FusedCategorical draw.
+// blocked-table kernel's row inversion. wx and wy hold the blocked
+// kernels' raw endpoint weights.
 type drawArena struct {
-	weights []float64 // raw per-candidate weights (stale boundary kernel)
 	cum     []float64 // prefix sums of the per-candidate draws
 	wx, wy  []float64 // blocked kernels' endpoint weights (always raw)
 	pair    []float64 // exact blocked kernel's joint prefix sums
@@ -33,12 +31,6 @@ func grow(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// buf returns the raw weight slice for one categorical draw.
-func (a *drawArena) buf(n int) []float64 {
-	a.weights = grow(a.weights, n)
-	return a.weights
 }
 
 // cumBuf returns the prefix-sum slice for one draw.

@@ -106,7 +106,6 @@ func TestDistTableEquivalence(t *testing.T) {
 				cfg := Config{
 					Seed:           7,
 					Iterations:     12,
-					Workers:        1,
 					GibbsEM:        true,
 					EMInterval:     4,
 					EMPairSample:   30000,
@@ -132,29 +131,6 @@ func TestDistTableEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestDistTableEquivalenceParallel repeats the mixed-world check under
-// the partitioned parallel sweep: the coupling argument is per worker
-// stream, so it must hold for Workers>1 exactly as for the sequential
-// chain.
-func TestDistTableEquivalenceParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence property tests run full fits; skipped in -short")
-	}
-	w := equivWorlds()[2]
-	cfg := Config{Seed: 7, Iterations: 12, Workers: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
-	exact, table, c := fitEquivPair(t, w.cfg, cfg)
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("workers=4 top-1 agreement %.4f; alpha exact %.4f table %.4f", agree, aE, aT)
-	if agree < equivAgreementMin {
-		t.Errorf("workers=4 top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
-	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("workers=4 alpha diverged: exact %.4f vs table %.4f", aE, aT)
 	}
 }
 
@@ -193,7 +169,6 @@ func TestFusedDrawEquivalence(t *testing.T) {
 				cfg := Config{
 					Seed:           7,
 					Iterations:     12,
-					Workers:        1,
 					GibbsEM:        true,
 					EMInterval:     4,
 					EMPairSample:   30000,
@@ -215,19 +190,21 @@ func TestFusedDrawEquivalence(t *testing.T) {
 
 // TestFusedDrawEquivalenceSmoke is the -short leg of the FusedDraw
 // equivalence: one small mixed world, per-variable kernel, plus a
-// Workers=4 repeat so the per-worker fused streams are covered.
+// Shards=4 repeat so the per-shard fused streams are covered. The
+// sequential pin is the scan draw's; the Shards=4 pin was captured from
+// the same fit before the Workers sweep was retired.
 func TestFusedDrawEquivalenceSmoke(t *testing.T) {
 	c := heldOutCorpus(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100})
 	for _, p := range []struct {
-		workers     int
+		shards      int
 		fingerprint uint64
-	}{{1, 0x8ee079a01a2858a6}, {4, 0x78eb763dd2604715}} {
-		m, err := Fit(c, Config{Seed: 7, Iterations: 8, Workers: p.workers, GibbsEM: true, EMInterval: 4, EMPairSample: 20000})
+	}{{1, 0x8ee079a01a2858a6}, {4, 0x1ca5b1885e2ae2f6}} {
+		m, err := Fit(c, Config{Seed: 7, Iterations: 8, Shards: p.shards, GibbsEM: true, EMInterval: 4, EMPairSample: 20000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := fitFingerprint(m); got != p.fingerprint {
-			t.Errorf("workers=%d smoke fingerprint %#x differs from the scan draw's %#x", p.workers, got, p.fingerprint)
+			t.Errorf("shards=%d smoke fingerprint %#x differs from its pin %#x", p.shards, got, p.fingerprint)
 		}
 	}
 }
@@ -235,7 +212,7 @@ func TestFusedDrawEquivalenceSmoke(t *testing.T) {
 // TestDistTableEquivalenceSmoke is the -short leg: one small mixed world,
 // per-variable kernel, same assertions.
 func TestDistTableEquivalenceSmoke(t *testing.T) {
-	cfg := Config{Seed: 7, Iterations: 8, Workers: 1, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
+	cfg := Config{Seed: 7, Iterations: 8, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
 	exact, table, c := fitEquivPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
 	agree := top1Agreement(exact, table, c)
 	aE, _ := exact.AlphaBeta()

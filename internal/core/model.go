@@ -84,22 +84,13 @@ type Model struct {
 	iterationsRun int
 	curIter       int // 1-based index of the sweep in progress
 
-	// Sweep execution state, keyed off cfg.Workers. seq is the sequential
-	// sampler's context (the model RNG plus reusable scratch, so the hot
-	// path never allocates); with Workers>1 the plan and per-worker
-	// contexts drive sweepParallel.
-	seq     *sweepCtx
-	plan    *sweepPlan
-	parCtxs []*sweepCtx
-
-	// Sharded sweep state, keyed off cfg.Shards (see shard.go): the user
-	// partition and per-shard contexts, plus the stale boundary mode's
-	// sweep-start ϕ snapshot (rows allocated only for users boundary
-	// edges read remotely).
-	splan     *shardPlan
-	shCtxs    []*sweepCtx
-	stalePhi  [][]float64
-	staleSums []float64
+	// Sweep execution state. seq is the sequential sampler's context (the
+	// model RNG plus reusable scratch, so the hot path never allocates);
+	// with Shards>1 the user partition and per-shard contexts drive
+	// sweepSharded (see shard.go).
+	seq    *sweepCtx
+	splan  *shardPlan
+	shCtxs []*sweepCtx
 }
 
 // Fit runs MLP inference over the corpus and returns the fitted model.
@@ -304,7 +295,7 @@ func (m *Model) psi(l gazetteer.CityID, v gazetteer.VenueID) float64 {
 }
 
 // psiFrom is the ψ̂ smoothing shared by the sequential estimate and the
-// parallel workers' overlay reads (sweepCtx.psi).
+// shards' overlay reads (sweepCtx.psi).
 func (m *Model) psiFrom(cnt, sum float64) float64 {
 	return (cnt + m.cfg.Delta) / (sum + m.deltaTotal)
 }

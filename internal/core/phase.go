@@ -11,7 +11,7 @@ import (
 // pass, the tweet pass, the barrier folds, the sharded boundary pass —
 // in Model.phase, which accrues wall-clock time per phase name and runs
 // the phase under a pprof label. Goroutines inherit the labels of the
-// goroutine that spawns them, so the workers a phase fans out carry its
+// goroutine that spawns them, so the shards a phase fans out carry its
 // label too and a -cpuprofile capture attributes every sample to a
 // phase by name (mlpbench surfaces both: the timers in its result
 // cells, the labels in its profile output). Together the phases cover
@@ -22,10 +22,9 @@ import (
 //	init          init/powerlaw (initial (α, β) fit from labeled
 //	              homes), init/candidates, init/disttable (universe
 //	              matrices and first α-epoch), init/state
-//	sequential    edge, tweet
-//	Workers>1     edge, tweet, fold
+//	Shards=1      edge, tweet (the sequential chain)
 //	Shards>1      shard (each shard's mixed edge+tweet walk), fold,
-//	              boundary (synced protocol's cross-shard classes)
+//	              boundary (the cross-shard color classes)
 //	Gibbs-EM      em (the refit, including the α-epoch's pow matrix)
 //
 // The ν-step runs inside the tweet kernels (it shares their gathered

@@ -182,8 +182,8 @@ func TestMAPExplainMatchesExhaustiveScan(t *testing.T) {
 	}{
 		{"golden/table", *goldenWorld(t), func() Config { c := goldenCfg(); c.DistTable = DistTableOn; return c }()},
 		{"golden/exact", *goldenWorld(t), goldenCfg()},
-		{"long-run", longRunWorld, Config{Seed: 7, Iterations: 6, Workers: 1, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}},
-		{"wide", wideWorld(105, 150), Config{Seed: 7, Iterations: 4, Workers: 4, GibbsEM: true, EMInterval: 2, EMPairSample: 20000}},
+		{"long-run", longRunWorld, Config{Seed: 7, Iterations: 6, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}},
+		{"wide", wideWorld(105, 150), Config{Seed: 7, Iterations: 4, Shards: 4, GibbsEM: true, EMInterval: 2, EMPairSample: 20000}},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			d, err := synth.Generate(g.world)

@@ -8,7 +8,7 @@ import (
 // DESIGN.md §8). The tweet kernel's ψ̂ factor needs the count φ_{l,v}
 // once per candidate per tweet (Eqs. 6/9). A city-major layout would pay
 // a hash plus a pointer chase into a different map per probe, and the
-// parallel overlay would double it. The venue-major layout inverts the
+// shard overlay would double it. The venue-major layout inverts the
 // nesting: all counts of one venue — the quantity a single tweet update
 // actually needs across its ≤MaxCandidates candidate cities — sit
 // together in one compact row, so a gather (sweepCtx.gatherPsi) resolves
@@ -48,7 +48,7 @@ func psiHashCity(l int32) uint32 {
 // count invariant "present ⇒ positive" by deleting at zero; overlay
 // rows hold ±1 deltas that may legitimately be negative or transiently
 // zero, so they only accumulate and are bulk reset at the fold barrier
-// (touched tracks membership in the worker's dirty-venue list).
+// (touched tracks membership in the shard's dirty-venue list).
 type psiRow struct {
 	slots   []int32   // open-addressed: compact index into cities/vals, or psiEmptySlot
 	cities  []int32   // live cities, densely packed
@@ -202,7 +202,7 @@ func (r *psiRow) get(l int32) float64 {
 }
 
 // reset clears every entry in place, keeping the capacities for the
-// next parallel tweet phase (overlay rows only).
+// next shard phase (overlay rows only).
 func (r *psiRow) reset() {
 	for i := range r.slots {
 		r.slots[i] = psiEmptySlot
@@ -213,9 +213,9 @@ func (r *psiRow) reset() {
 }
 
 // psiStore holds the venue-major rows: rows[v] is venue v's city counts.
-// The model owns one instance for the collapsed counts; each parallel
-// worker owns a second instance whose rows carry deferred ±1 deltas
-// (sweepCtx.ovl) during the frozen tweet phase.
+// The model owns one instance for the collapsed counts; each shard owns
+// a second instance whose rows carry deferred ±1 deltas (sweepCtx.ovl)
+// during the frozen shard phase.
 type psiStore struct {
 	rows []psiRow
 }
@@ -244,7 +244,7 @@ func (ps *psiStore) get(v gazetteer.VenueID, l gazetteer.CityID) float64 {
 // accumDelta adds d to an overlay row without delete-at-zero (deltas may
 // pass through zero and go negative within a phase). firstTouch reports
 // whether this was the venue's first write of the phase, so the caller
-// can register it on the worker's dirty-venue list exactly once.
+// can register it on the shard's dirty-venue list exactly once.
 func (ps *psiStore) accumDelta(v gazetteer.VenueID, l gazetteer.CityID, d float64) (firstTouch bool) {
 	r := &ps.rows[v]
 	firstTouch = !r.touched
@@ -280,7 +280,7 @@ type psiGatherCell struct {
 }
 
 // gatherPsi stamps venue v's counts — the base store row plus, on a
-// parallel worker, the overlay row's pending deltas — into the ctx's
+// shard, the overlay row's pending deltas — into the ctx's
 // epoch-stamped scratch. One pass over the row's compact live pairs
 // replaces per-candidate probes: after the gather, a candidate's count
 // is one array read (gcells[l], valid iff its stamp equals gepoch). The

@@ -86,18 +86,18 @@ func psiModel(numVenues, L int) *Model {
 	}
 }
 
-// psiFixture adds one parallel worker context to psiModel — enough
-// machinery to exercise the overlay and fold without a full Fit.
+// psiFixture adds one shard context to psiModel — enough machinery to
+// exercise the overlay and fold without a full Fit.
 func psiFixture(numVenues, L int) (*Model, *sweepCtx) {
 	m := psiModel(numVenues, L)
 	ctx := &sweepCtx{m: m}
 	ctx.ensureOverlay()
-	m.parCtxs = []*sweepCtx{ctx}
+	m.shCtxs = []*sweepCtx{ctx}
 	return m, ctx
 }
 
 // TestPsiOverlayNegativeDeltasFold: overlay deltas that go negative must
-// read back correctly through the worker's psi, and folding them must
+// read back correctly through the shard's psi, and folding them must
 // drive the base entry exactly to zero (deleting it) — plus a delta that
 // returns to zero within the phase must fold as a no-op.
 func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
@@ -111,17 +111,17 @@ func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
 		m.shiftVenue(1, v2, 1)
 	}
 
-	// Worker: net −2 on (v1, 3); +1 then −1 (net zero) on (v2, 1).
+	// Shard: net −2 on (v1, 3); +1 then −1 (net zero) on (v2, 1).
 	ctx.shiftVenue(3, v1, -1)
 	if got, want := ctx.psi(3, v1), m.psiFrom(1, 1); got != want {
-		t.Fatalf("worker psi mid-phase = %v, want %v", got, want)
+		t.Fatalf("shard psi mid-phase = %v, want %v", got, want)
 	}
 	ctx.shiftVenue(3, v1, -1)
 	if got := ctx.ovl.get(v1, 3); got != -2 {
 		t.Fatalf("overlay delta = %v, want -2", got)
 	}
 	if got, want := ctx.psi(3, v1), m.psiFrom(0, 0); got != want {
-		t.Fatalf("worker psi at zero = %v, want %v", got, want)
+		t.Fatalf("shard psi at zero = %v, want %v", got, want)
 	}
 	ctx.shiftVenue(1, v2, 1)
 	ctx.shiftVenue(1, v2, -1)
@@ -131,7 +131,7 @@ func TestPsiOverlayNegativeDeltasFold(t *testing.T) {
 		t.Fatalf("base count mutated mid-phase: %v", got)
 	}
 
-	m.foldVenueDeltas()
+	m.foldVenueDeltasFrom(m.shCtxs)
 
 	if got := m.ps.get(v1, 3); got != 0 {
 		t.Fatalf("folded count = %v, want 0", got)
@@ -199,7 +199,7 @@ func TestGatherMatchesPsi(t *testing.T) {
 			}
 		}
 	}
-	// Pile ±1 deltas into the worker overlay, then re-check through it.
+	// Pile ±1 deltas into the shard overlay, then re-check through it.
 	for i := 0; i < 300; i++ {
 		l := gazetteer.CityID(rng.Intn(L))
 		v := gazetteer.VenueID(rng.Intn(V))
@@ -244,7 +244,7 @@ func benchPsiWorld() (*Model, []gazetteer.CityID) {
 
 // BenchmarkPsiLookup measures one tweet update's worth of ψ̂ resolution —
 // all 40 candidate counts for one venue — as one row gather then array
-// reads, directly and through a worker overlay carrying pending deltas.
+// reads, directly and through a shard overlay carrying pending deltas.
 func BenchmarkPsiLookup(b *testing.B) {
 	for _, overlay := range []bool{false, true} {
 		read := "direct"

@@ -12,18 +12,13 @@ import (
 
 // sweep performs one Gibbs iteration: every following relationship's
 // (x, y, µ) and every tweeting relationship's (z, ν) is resampled from its
-// conditional posterior (Eqs. 5–9). Workers=1 runs the paper's exact
-// sequential chain on the model RNG; Workers>1 fans the sweep out over
-// user-disjoint shards (sweepParallel, see parallel.go). Shards>1 takes
-// precedence over Workers and runs the sharded sweep with its boundary
-// protocols (sweepSharded, see shard.go).
+// conditional posterior (Eqs. 5–9). The default, Shards=1, runs the
+// paper's exact sequential chain on the model RNG: edges in corpus
+// order, then tweets. Shards>1 is the one parallel sweep (sweepSharded,
+// see shard.go).
 func (m *Model) sweep() {
 	if m.cfg.Shards > 1 {
 		m.sweepSharded()
-		return
-	}
-	if m.cfg.Workers > 1 {
-		m.sweepParallel()
 		return
 	}
 	if m.useF {
@@ -473,7 +468,7 @@ func (m *Model) updateTweet(ctx *sweepCtx, k int) {
 	if counted {
 		// ψ̂ computed inline from the cached counts: the maintained
 		// reciprocal multiply off-overlay, the psiFrom division
-		// on-overlay (the sum carries the worker's own deltas), and
+		// on-overlay (the sum carries the shard's own deltas), and
 		// cnt−1/sum−1 at the excluded index zi.
 		e = b.entryFor(ctx, t.Venue, cand)
 		cnt := e.cnt[:len(cand)]

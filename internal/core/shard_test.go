@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mlprofile/internal/dataset"
@@ -11,9 +12,9 @@ import (
 
 // TestShardPlanPartition: the shard plan must partition users, edges and
 // tweets consistently — intra edges have both endpoints on the owner
-// shard, owned lists hold every edge exactly once (keyed by the follower
-// side), the boundary coloring is a per-class matching covering exactly
-// the cross-shard edges, and tweets follow their author's shard.
+// shard, every edge is intra or boundary exactly once, the boundary
+// coloring is a per-class matching covering exactly the cross-shard
+// edges, and tweets follow their author's shard.
 func TestShardPlanPartition(t *testing.T) {
 	d := testWorld(t, 2)
 	c := &d.Corpus
@@ -23,24 +24,6 @@ func TestShardPlanPartition(t *testing.T) {
 	for u := range c.Users {
 		if want := int32(dataset.ShardOf(dataset.UserID(u), shards)); p.shardOf[u] != want {
 			t.Fatalf("user %d: shardOf %d, want %d", u, p.shardOf[u], want)
-		}
-	}
-
-	seenOwned := make([]bool, len(c.Edges))
-	for s, list := range p.owned {
-		for _, e := range list {
-			if seenOwned[e] {
-				t.Fatalf("edge %d owned twice", e)
-			}
-			seenOwned[e] = true
-			if p.shardOf[c.Edges[e].From] != int32(s) {
-				t.Fatalf("edge %d owned by shard %d but follower lives on %d", e, s, p.shardOf[c.Edges[e].From])
-			}
-		}
-	}
-	for e, ok := range seenOwned {
-		if !ok {
-			t.Fatalf("edge %d unowned", e)
 		}
 	}
 
@@ -110,44 +93,40 @@ func TestShardPlanPartition(t *testing.T) {
 }
 
 // TestShardedDeterministic: the sharded sampler must be fully
-// reproducible for a fixed (Seed, Shards) pair, under both boundary
-// protocols.
+// reproducible for a fixed (Seed, Shards) pair — the partition is static
+// and every shard stream is seeded from (Seed, sweep, shard).
 func TestShardedDeterministic(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stale := range []bool{false, true} {
-		cfg := goldenCfg()
-		cfg.Shards = 4
-		cfg.StaleBoundary = stale
-		m1, err := Fit(&d.Corpus, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := Fit(&d.Corpus, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f1, f2 := fitFingerprint(m1), fitFingerprint(m2); f1 != f2 {
-			t.Errorf("stale=%v: Shards=4 fingerprints differ across identical runs: %#x vs %#x", stale, f1, f2)
-		}
+	cfg := goldenCfg()
+	cfg.Shards = 4
+	m1, err := Fit(&d.Corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Fit(&d.Corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f1, f2 := fitFingerprint(m1), fitFingerprint(m2); f1 != f2 {
+		t.Errorf("Shards=4 fingerprints differ across identical runs: %#x vs %#x", f1, f2)
 	}
 }
 
-// goldenSharded pins the Shards=4 chains on the golden world, both
-// boundary protocols, like the Workers entries of the golden matrix:
-// any change to the shard partition, the phase order, the stale
-// snapshot/ops arithmetic, per-shard RNG streams, or the tweet batch
-// cache under per-shard overlays shows up here. The count invariants
-// are checked after every sweep on the way.
+// goldenSharded pins the Shards=4 chain on the golden world: any change
+// to the shard partition, the phase order, the boundary classes,
+// per-shard RNG streams, or the tweet batch cache under per-shard
+// overlays shows up here. The count invariants — the overlays' fold and
+// reset included — are checked after every sweep on the way. The cell
+// keeps the "/sync" suffix it had beside the retired stale boundary
+// protocol.
 var goldenSharded = []struct {
 	name        string
-	stale       bool
 	fingerprint uint64
 }{
-	{"shards=4/sync", false, 0x71f6fd6f14d1c015},
-	{"shards=4/stale", true, 0xf9000e68ae6bc4e5},
+	{"shards=4/sync", 0x71f6fd6f14d1c015},
 }
 
 func TestShardedGoldenPins(t *testing.T) {
@@ -159,7 +138,6 @@ func TestShardedGoldenPins(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			cfg := goldenCfg()
 			cfg.Shards = 4
-			cfg.StaleBoundary = g.stale
 			cfg.OnIteration = func(_ int, m *Model) { checkInvariants(t, m) }
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
@@ -178,9 +156,9 @@ func TestShardedGoldenPins(t *testing.T) {
 }
 
 // TestShards1GoldenMatrix is the satellite lock: an explicit Shards=1
-// must reproduce the full golden fingerprint matrix cell-for-cell —
-// Shards=1 is defined as the exact pre-sharding chain, not merely an
-// equivalent one.
+// must reproduce the golden fingerprint matrix cell-for-cell — Shards=1
+// is defined as the exact pre-sharding chain, not merely an equivalent
+// one.
 func TestShards1GoldenMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -189,7 +167,6 @@ func TestShards1GoldenMatrix(t *testing.T) {
 	for _, g := range goldenMatrix {
 		t.Run(g.name+goldenChainName+"/shards=1", func(t *testing.T) {
 			cfg := goldenCfg()
-			cfg.Workers = g.workers
 			cfg.DistTable = g.dist
 			cfg.Shards = 1
 			m, err := Fit(&d.Corpus, cfg)
@@ -244,12 +221,11 @@ func TestShards1StreamedWorldGolden(t *testing.T) {
 
 // TestShardedCountInvariants: after a sharded fit the collapsed counts
 // must be exactly consistent — the shard phases, the venue-delta fold,
-// and the stale op application may not lose or double a single ±1.
+// and the boundary phase may not lose or double a single ±1.
 func TestShardedCountInvariants(t *testing.T) {
 	d := testWorld(t, 2)
 	for name, cfg := range map[string]Config{
 		"sync":    {Seed: 5, Iterations: 6, Shards: 4},
-		"stale":   {Seed: 5, Iterations: 6, Shards: 4, StaleBoundary: true},
 		"blocked": {Seed: 5, Iterations: 6, Shards: 4, BlockedSampler: true},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -260,51 +236,28 @@ func TestShardedCountInvariants(t *testing.T) {
 }
 
 // TestShardedMatchesSequentialQuality: a sharded chain differs from the
-// sequential one but must land at the same quality, for both boundary
-// protocols — staleness is bounded by one sweep, so it may not cost
-// accuracy.
+// sequential one but must land at the same quality and noise estimates.
 func TestShardedMatchesSequentialQuality(t *testing.T) {
 	skipIfShort(t)
 	d := testWorld(t, 4)
-	seq, test := fitFold(t, d, Config{Seed: 19, Iterations: 10, Workers: 1})
+	seq, test := fitFold(t, d, Config{Seed: 19, Iterations: 10})
+	sh, _ := fitFold(t, d, Config{Seed: 19, Iterations: 10, Shards: 4})
 	accSeq := accAt100(d, seq, test)
-	for _, stale := range []bool{false, true} {
-		sh, _ := fitFold(t, d, Config{Seed: 19, Iterations: 10, Shards: 4, StaleBoundary: stale})
-		accSh := accAt100(d, sh, test)
-		t.Logf("stale=%v: sequential=%.3f sharded=%.3f", stale, accSeq, accSh)
-		if math.Abs(accSeq-accSh) > 0.12 {
-			t.Errorf("stale=%v: sharded sampler diverged: seq=%.3f sharded=%.3f", stale, accSeq, accSh)
-		}
-		enS, tnS := seq.NoiseStats()
-		enH, tnH := sh.NoiseStats()
-		if math.Abs(enS-enH) > 0.1 || math.Abs(tnS-tnH) > 0.1 {
-			t.Errorf("stale=%v: noise estimates diverged: seq=(%.3f, %.3f) sharded=(%.3f, %.3f)", stale, enS, tnS, enH, tnH)
-		}
+	accSh := accAt100(d, sh, test)
+	t.Logf("sequential=%.3f sharded=%.3f", accSeq, accSh)
+	if math.Abs(accSeq-accSh) > 0.12 {
+		t.Errorf("sharded sampler diverged: seq=%.3f sharded=%.3f", accSeq, accSh)
 	}
-}
-
-// TestStaleVsSyncAgreement: the stale and synced protocols run different
-// (equally valid) chains; their top-1 predictions must still broadly
-// agree. The floor is set from the measured independent-chain agreement
-// band (~0.94 on these worlds) minus slack — a collapse below it means
-// the stale snapshot/ops arithmetic corrupted the chain, not that two
-// chains disagree innocently.
-func TestStaleVsSyncAgreement(t *testing.T) {
-	d := testWorld(t, 2)
-	cfg := Config{Seed: 7, Iterations: 8, Shards: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-	sync, _ := fitFold(t, d, cfg)
-	cfg.StaleBoundary = true
-	stale, _ := fitFold(t, d, cfg)
-	agree := top1Agreement(sync, stale, sync.corpus)
-	t.Logf("stale-vs-sync top-1 agreement %.4f", agree)
-	if agree < 0.90 {
-		t.Errorf("stale-vs-sync top-1 agreement %.4f < 0.90", agree)
+	enS, tnS := seq.NoiseStats()
+	enH, tnH := sh.NoiseStats()
+	if math.Abs(enS-enH) > 0.1 || math.Abs(tnS-tnH) > 0.1 {
+		t.Errorf("noise estimates diverged: seq=(%.3f, %.3f) sharded=(%.3f, %.3f)", enS, tnS, enH, tnH)
 	}
 }
 
 // TestShardedEquivalence runs the DistTable equivalence pair under
 // Shards=4: the coupling argument is per shard stream, so the ≥99%
-// top-1 bound must hold exactly as it does for Workers>1.
+// top-1 bound must hold exactly as it does for the sequential chain.
 func TestShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence property tests run full fits; skipped in -short")
@@ -324,17 +277,15 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalenceSmoke is the -short leg: one small world, both
-// protocols, DistTable pair only.
+// TestShardedEquivalenceSmoke is the -short leg: one small world,
+// DistTable pair only.
 func TestShardedEquivalenceSmoke(t *testing.T) {
-	for _, stale := range []bool{false, true} {
-		cfg := Config{Seed: 7, Iterations: 8, Shards: 4, StaleBoundary: stale, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-		exact, table, c := fitEquivPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
-		agree := top1Agreement(exact, table, c)
-		t.Logf("stale=%v smoke top-1 agreement %.4f", stale, agree)
-		if agree < equivAgreementMin {
-			t.Errorf("stale=%v smoke top-1 agreement %.4f < %.2f", stale, agree, equivAgreementMin)
-		}
+	cfg := Config{Seed: 7, Iterations: 8, Shards: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
+	exact, table, c := fitEquivPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
+	agree := top1Agreement(exact, table, c)
+	t.Logf("smoke top-1 agreement %.4f", agree)
+	if agree < equivAgreementMin {
+		t.Errorf("smoke top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
 	}
 }
 
@@ -352,23 +303,34 @@ func TestShardedVariants(t *testing.T) {
 			t.Errorf("%v: ran %d iterations", v, m.Iterations())
 		}
 	}
-	// Edges-only corpus under the Full variant (regression analogue of
-	// TestParallelEdgesOnlyCorpus).
+	// Edges-only corpus under the Full variant: a tweetless corpus is
+	// legal, and the sweep must skip the tweet work and the fold instead
+	// of indexing an empty tweet plan.
 	c := d.Corpus
 	c.Tweets = nil
-	if _, err := Fit(&c, Config{Seed: 3, Iterations: 3, Shards: 3, StaleBoundary: true}); err != nil {
+	if _, err := Fit(&c, Config{Seed: 3, Iterations: 3, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestShardsValidation: negative shard counts are rejected; zero means
-// single-chain.
+// single-chain; and no count may outgrow the 16-bit shard field of the
+// per-shard RNG stream key, where shard 65,536+r would draw shard r's
+// stream of the same sweep or the next. The limit is checked on
+// validate alone, which runs before any plan or goroutine exists.
 func TestShardsValidation(t *testing.T) {
 	d := testWorld(t, 1)
 	if _, err := Fit(&d.Corpus, Config{Iterations: 1, Shards: -2}); err == nil {
 		t.Error("negative Shards accepted")
 	}
-	m, err := Fit(&d.Corpus, Config{Iterations: 1, Workers: 1})
+	if err := (Config{Shards: 1 << 16}).withDefaults().validate(); err != nil {
+		t.Errorf("Shards=65536 rejected: %v", err)
+	}
+	err := (Config{Shards: 1<<16 + 1}).withDefaults().validate()
+	if err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Errorf("Shards=65537: error %v, want one naming the limit 65536", err)
+	}
+	m, err := Fit(&d.Corpus, Config{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

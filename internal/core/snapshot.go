@@ -45,8 +45,8 @@ var snapshotMagic = [8]byte{'M', 'L', 'P', 'S', 'N', 'A', 'P', '\n'}
 // SnapshotVersion is the current encoding version. Decoders reject
 // versions they do not know. Version 2 moved the world fingerprint to
 // the shared dataset.Fingerprint encoding, added the shard header
-// (flags, shard index, shard count) and appended Shards/StaleBoundary
-// to the config section.
+// (flags, shard index, shard count) and appended Shards and the since
+// retired StaleBoundary flag to the config section.
 const SnapshotVersion uint32 = 2
 
 // ErrSnapshotAlpha refuses a snapshot whose power-law exponent α is
@@ -234,12 +234,13 @@ func (r *snapReader) f64s() []float64 {
 	return out
 }
 
-// retiredConfigSlot fills the two config slots whose sampler-path knobs
-// (the venue-count layout and the draw pipeline) no longer exist:
-// encodeConfig writes their old default value 1 ("on"), and
-// decodeConfig reads and ignores them, so the version-2 format stays
-// byte-for-byte unchanged and snapshots written with either knob off
-// still load.
+// retiredConfigSlot fills the three integer config slots whose knobs no
+// longer exist: the venue-count layout and the draw pipeline (both "on"
+// = 1) and the Workers sweep's goroutine count (1, the sequential chain
+// every fit without Shards runs). encodeConfig writes 1 into each and
+// false into the retired StaleBoundary flag, and decodeConfig reads and
+// ignores all four, so the version-2 format stays byte-for-byte
+// unchanged and snapshots written with any value there still load.
 const retiredConfigSlot = 1
 
 // encodeConfig writes the defaulted Config field by field in fixed order.
@@ -249,7 +250,7 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.i64(c.Seed)
 	w.i64(int64(c.Variant))
 	w.i64(int64(c.Iterations))
-	w.i64(int64(c.Workers))
+	w.i64(retiredConfigSlot) // Workers
 	w.f64(c.RhoF)
 	w.f64(c.RhoT)
 	w.i64(int64(c.NoiseBurnIn))
@@ -271,7 +272,7 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.bool(c.DisableSupervision)
 	w.bool(c.AllLocationCandidates)
 	w.i64(int64(c.Shards))
-	w.bool(c.StaleBoundary)
+	w.bool(false) // StaleBoundary
 }
 
 func decodeConfig(r *snapReader) Config {
@@ -279,7 +280,7 @@ func decodeConfig(r *snapReader) Config {
 	c.Seed = r.i64()
 	c.Variant = Variant(r.i64())
 	c.Iterations = int(r.i64())
-	c.Workers = int(r.i64())
+	r.i64() // retired: Workers
 	c.RhoF = r.f64()
 	c.RhoT = r.f64()
 	c.NoiseBurnIn = int(r.i64())
@@ -301,7 +302,7 @@ func decodeConfig(r *snapReader) Config {
 	c.DisableSupervision = r.bool()
 	c.AllLocationCandidates = r.bool()
 	c.Shards = int(r.i64())
-	c.StaleBoundary = r.bool()
+	r.bool() // retired: StaleBoundary
 	return c
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -82,53 +83,83 @@ func requireReadEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus)
 	}
 }
 
-// retiredSlotsOffset is the byte offset of the first of the two retired
-// config slots (see retiredConfigSlot) in a snapshot file, whole-model
-// or shard slice: the header and the world fingerprint, then 14
-// eight-byte fields (Seed … MaxVenueSenses), GibbsEM (1 byte),
-// EMInterval and EMPairSample (8 each), BlockedSampler (1) and
-// DistTable (8).
-var retiredSlotsOffset = len(snapshotMagic) + 16 + int(dataset.NumFingerprintSections)*sha256.Size + 14*8 + 1 + 2*8 + 1 + 8
+// Byte offsets into a snapshot file, whole-model or shard slice. The
+// config section follows the magic, the 16-byte header (version, flags,
+// shard index, shard count) and the world fingerprint. In it, the
+// retired Workers slot follows Seed, Variant and Iterations (8 bytes
+// each). The retired venue-count layout and draw pipeline slots follow
+// the first 14 eight-byte fields (Seed … MaxVenueSenses), GibbsEM
+// (1 byte), EMInterval and EMPairSample (8 each), BlockedSampler (1) and
+// DistTable (8). After them come DisableNoiseMixture,
+// DisableSupervision and AllLocationCandidates (1 byte each) and Shards
+// (8), then the retired StaleBoundary flag (1) — the config section's
+// last byte, so the refined α follows it.
+var (
+	configOffset        = len(snapshotMagic) + 16 + int(dataset.NumFingerprintSections)*sha256.Size
+	workersSlotOffset   = configOffset + 3*8
+	retiredSlotsOffset  = configOffset + 14*8 + 1 + 2*8 + 1 + 8
+	staleSlotOffset     = retiredSlotsOffset + 2*8 + 3 + 8
+	snapshotAlphaOffset = staleSlotOffset + 1
+)
 
-// retiredSlotCells are the values older encoders wrote into the retired
-// slots: the venue-count layout (psi=venue 1, psi=map 2) and the draw
-// pipeline (draw=fused 1, draw=scan 2). Neither knob changed the fitted
-// state, so a snapshot carrying any combination must load and read out
-// exactly like the one written now (psi=venue/draw=fused).
+// retiredSlots holds the four retired config slots: the venue-count
+// layout (psi=venue 1, psi=map 2), the draw pipeline (draw=fused 1,
+// draw=scan 2), the Workers sweep's goroutine count and the
+// StaleBoundary flag. None of those knobs changed what a snapshot
+// describes, so a snapshot carrying any values an older encoder wrote
+// must load and read out exactly like the one written now.
+type retiredSlots struct {
+	psi, draw, workers uint64
+	stale              bool
+}
+
+// writtenSlots is what encodeConfig writes into the retired slots.
+var writtenSlots = retiredSlots{psi: retiredConfigSlot, draw: retiredConfigSlot, workers: retiredConfigSlot}
+
+// retiredSlotCells are the layout, draw and StaleBoundary values an
+// older encoder could write; TestSnapshotRoundTripMatrix crosses them
+// with the Workers values 1 and 4.
 var retiredSlotCells = []struct {
-	name      string
-	psi, draw uint64
+	name  string
+	slots retiredSlots
 }{
-	{"psi=map/draw=scan", 2, 2},
-	{"psi=map/draw=fused", 2, 1},
-	{"psi=venue/draw=scan", 1, 2},
-	{"psi=venue/draw=fused", 1, 1},
+	{"psi=map/draw=scan", retiredSlots{psi: 2, draw: 2}},
+	{"psi=map/draw=fused", retiredSlots{psi: 2, draw: 1}},
+	{"psi=venue/draw=scan", retiredSlots{psi: 1, draw: 2}},
+	{"psi=venue/draw=fused", retiredSlots{psi: 1, draw: 1}},
+	{"psi=venue/draw=fused/staleboundary=true", retiredSlots{psi: 1, draw: 1, stale: true}},
 }
 
 // withRetiredSlots returns a copy of the snapshot file raw with the
-// retired slots set to psi and draw and the trailing checksum
-// recomputed: the bytes an older encoder wrote for the same fit with
-// those knob values.
-func withRetiredSlots(t *testing.T, raw []byte, psi, draw uint64) []byte {
+// retired slots set to slots and the trailing checksum recomputed: the
+// bytes an older encoder wrote for the same fit with those knob values.
+func withRetiredSlots(t *testing.T, raw []byte, slots retiredSlots) []byte {
 	t.Helper()
 	out := bytes.Clone(raw)
-	for i, v := range []uint64{psi, draw} {
-		slot := retiredSlotsOffset + 8*i
-		if got := binary.LittleEndian.Uint64(out[slot:]); got != retiredConfigSlot {
-			t.Fatalf("retired slot at byte %d holds %d, want %d", slot, got, retiredConfigSlot)
+	for _, f := range []struct {
+		off  int
+		v    uint64
+		want uint64
+	}{
+		{workersSlotOffset, slots.workers, writtenSlots.workers},
+		{retiredSlotsOffset, slots.psi, writtenSlots.psi},
+		{retiredSlotsOffset + 8, slots.draw, writtenSlots.draw},
+	} {
+		if got := binary.LittleEndian.Uint64(out[f.off:]); got != f.want {
+			t.Fatalf("retired slot at byte %d holds %d, want %d", f.off, got, f.want)
 		}
-		binary.LittleEndian.PutUint64(out[slot:], v)
+		binary.LittleEndian.PutUint64(out[f.off:], f.v)
+	}
+	if out[staleSlotOffset] != 0 {
+		t.Fatalf("retired StaleBoundary slot at byte %d holds %d, want 0", staleSlotOffset, out[staleSlotOffset])
+	}
+	if slots.stale {
+		out[staleSlotOffset] = 1
 	}
 	sum := sha256.Sum256(out[:len(out)-sha256.Size])
 	copy(out[len(out)-sha256.Size:], sum[:])
 	return out
 }
-
-// snapshotAlphaOffset is the byte offset of the refined α in a snapshot
-// file, whole-model or shard slice: after the retired slots come
-// DisableNoiseMixture, DisableSupervision and AllLocationCandidates
-// (1 byte each), Shards (8) and StaleBoundary (1).
-var snapshotAlphaOffset = retiredSlotsOffset + 2*8 + 3 + 8 + 1
 
 // withAlpha returns a copy of the snapshot file raw with α replaced and
 // the trailing checksum recomputed, as a forged file would carry it.
@@ -189,42 +220,43 @@ func TestSnapshotRejectsBadAlpha(t *testing.T) {
 }
 
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
-// determinism matrix: under every Workers × DistTable cell of the golden
-// matrix, and for every retired-slot combination an older encoder could
-// have written, encode → decode must reproduce every readout bit for
-// bit.
+// determinism matrix: under both DistTable cells of the golden matrix,
+// and for every retired-slot combination an older encoder could have
+// written — the Workers slot at 1 and 4 (the outer cells' "workers=N"),
+// crossed with the layout, draw and StaleBoundary cells — encode →
+// decode must reproduce every readout bit for bit.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range goldenMatrix {
-		if testing.Short() && g.workers != 1 {
-			continue // -short: sequential cells only
+		cfg := goldenCfg()
+		cfg.DistTable = g.dist
+		m, err := Fit(&d.Corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(g.name, func(t *testing.T) {
-			cfg := goldenCfg()
-			cfg.Workers = g.workers
-			cfg.DistTable = g.dist
-			m, err := Fit(&d.Corpus, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := m.EncodeSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range retiredSlotCells {
-				t.Run(s.name, func(t *testing.T) {
-					raw := withRetiredSlots(t, buf.Bytes(), s.psi, s.draw)
-					loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(raw))
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireReadEquality(t, m, loaded, &d.Corpus)
-				})
-			}
-		})
+		var buf bytes.Buffer
+		if err := m.EncodeSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []uint64{1, 4} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, g.dist), func(t *testing.T) {
+				for _, s := range retiredSlotCells {
+					t.Run(s.name, func(t *testing.T) {
+						slots := s.slots
+						slots.workers = workers
+						raw := withRetiredSlots(t, buf.Bytes(), slots)
+						loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(raw))
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireReadEquality(t, m, loaded, &d.Corpus)
+					})
+				}
+			})
+		}
 	}
 }
 
@@ -258,7 +290,7 @@ func TestSnapshotSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 4, Workers: 1})
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +312,7 @@ func TestSnapshotRejectsMismatchedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3, Workers: 1})
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +365,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3, Workers: 1})
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +403,7 @@ func TestSnapshotVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []Variant{FollowingOnly, TweetingOnly} {
-		m, err := Fit(&d.Corpus, Config{Seed: 5, Iterations: 3, Workers: 1, Variant: v})
+		m, err := Fit(&d.Corpus, Config{Seed: 5, Iterations: 3, Variant: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,9 +422,9 @@ func TestSnapshotVariants(t *testing.T) {
 // setDirRetiredSlots rewrites every slice file of a sharded snapshot
 // directory through withRetiredSlots and updates the manifest's
 // checksums to match.
-func setDirRetiredSlots(t *testing.T, dir string, psi, draw uint64) {
+func setDirRetiredSlots(t *testing.T, dir string, slots retiredSlots) {
 	t.Helper()
-	rewriteSnapshotDir(t, dir, func(data []byte) []byte { return withRetiredSlots(t, data, psi, draw) })
+	rewriteSnapshotDir(t, dir, func(data []byte) []byte { return withRetiredSlots(t, data, slots) })
 }
 
 // rewriteSnapshotDir passes every slice file of a sharded snapshot
@@ -430,35 +462,34 @@ func rewriteSnapshotDir(t *testing.T, dir string, edit func([]byte) []byte) {
 
 // TestShardedSnapshotRoundTrip: a model fitted with Shards=4 saved as a
 // sharded directory and loaded back (via the LoadSnapshot directory
-// route) must reproduce every readout bit for bit, under both boundary
-// protocols. The stale cell's slice files carry the retired venue-count
-// layout slot as older encoders wrote it for a psi=map fit.
+// route) must reproduce every readout bit for bit. The "stale/psi=map"
+// cell's slice files carry the retired slots as older encoders wrote
+// them for a -staleboundary fit with the map venue-count layout and
+// Workers=4; they must load all the same.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := goldenCfg()
+	cfg.Shards = 4
+	m, err := Fit(&d.Corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name  string
-		stale bool
-		psi   uint64
+		slots retiredSlots
 	}{
-		{"sync/psi=venue", false, 1},
-		{"stale/psi=map", true, 2},
+		{"sync/psi=venue", writtenSlots},
+		{"stale/psi=map", retiredSlots{psi: 2, draw: 1, workers: 4, stale: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			cfg := goldenCfg()
-			cfg.Shards = 4
-			cfg.StaleBoundary = mode.stale
-			m, err := Fit(&d.Corpus, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			dir := t.TempDir() + "/snap"
 			if err := m.SaveShardedSnapshot(dir); err != nil {
 				t.Fatal(err)
 			}
-			setDirRetiredSlots(t, dir, mode.psi, retiredConfigSlot)
+			setDirRetiredSlots(t, dir, mode.slots)
 			loaded, err := LoadSnapshot(&d.Corpus, dir)
 			if err != nil {
 				t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 // Consecutive tweets of one author share the same candidate set, and
 // between two of the author's own draws nothing this stream can see
 // mutates the venue counts — the sequential chain interleaves no other
-// author inside the run, and a parallel/sharded worker reads frozen base
-// counts plus its own private overlay. The kernel therefore gathers each
+// author inside the run, and a shard's stream reads frozen base counts
+// plus its own private overlay. The kernel therefore gathers each
 // venue's per-candidate counts once per (author, venue) into a small
 // per-stream cache and reuses them across the author's tweet run.
 // Deliberately, only the *counts* are cached, never the smoothed ψ̂
@@ -34,7 +34,7 @@ import (
 const tweetBatchEntries = 64
 
 // batchEntry caches one venue's per-candidate counts for the current
-// author — the base store row plus, on a worker, its own overlay
+// author — the base store row plus, on a shard, its own overlay
 // deltas — maintained current by tweetBatch.shift as the author's draws
 // move counts.
 type batchEntry struct {
@@ -102,7 +102,7 @@ func (b *tweetBatch) resetFor(user int32, iter int) {
 // gathering counts into a (possibly recycled) slot on miss. The gather
 // resolves the exact counts — via the store row walk or direct probes,
 // whichever is cheaper (psiGatherWorthwhile), overlay deltas included
-// on a worker — so reading the entry is bit-identical to re-probing.
+// on a shard — so reading the entry is bit-identical to re-probing.
 func (b *tweetBatch) entryFor(ctx *sweepCtx, v gazetteer.VenueID, cand []gazetteer.CityID) *batchEntry {
 	m := ctx.m
 	if int(v) >= len(b.vstamp) {
@@ -225,9 +225,6 @@ func (m *Model) TweetBatchStats() TweetBatchStats {
 		s.Repairs += ctx.batch.repairs
 	}
 	add(m.seq)
-	for _, ctx := range m.parCtxs {
-		add(ctx)
-	}
 	for _, ctx := range m.shCtxs {
 		add(ctx)
 	}

@@ -1,47 +1,12 @@
 package dataset
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"strconv"
-
-	"mlprofile/internal/gazetteer"
-)
-
-// This file implements the shard-assignment pass of the streaming
-// pipeline: WriteShards splits one dataset directory into S per-shard
-// sub-corpora (each loadable on its own against the shared gazetteer),
-// and LoadSharded reassembles them into a corpus bit-identical to the
-// original (fingerprint-equal — stream_test.go locks this).
-//
-// Ownership rules match the sharded sampler (core/shard.go): a user
-// lives on ShardOf(id); a following relationship lives with its From
-// user; a tweeting relationship lives with its author. Rows carry their
-// global index so reassembly restores exact corpus order.
-
-// shardManifestFile names the shard-split manifest inside an output
-// directory.
-const shardManifestFile = "shards.json"
-
-// shardManifest records the split geometry LoadSharded preallocates and
-// validates against.
-type shardManifest struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
-	Users   int `json:"users"`
-	Edges   int `json:"edges"`
-	Tweets  int `json:"tweets"`
-}
-
 // ShardOf maps a user id to its owning shard: a strong bit-mix of the id
 // reduced mod shards, so assignment is stable across runs and machines
 // and needs no lookup table. The mixer is Stafford's Mix13 — the same
 // finalizer randutil's SplitMix64 uses — rather than id%shards, which
 // would alias against any stride structure in how ids were assigned.
+// The sharded sampler, the sharded snapshots and the serving router all
+// place users with it, so its values are pinned (TestShardOfStable).
 func ShardOf(u UserID, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -51,347 +16,4 @@ func ShardOf(u UserID, shards int) int {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return int(z % uint64(shards))
-}
-
-// ShardDir names the sub-directory of shard s inside a WriteShards
-// output directory.
-func ShardDir(outDir string, s int) string {
-	return filepath.Join(outDir, fmt.Sprintf("shard-%03d", s))
-}
-
-// shardWriter is one shard's set of open table writers.
-type shardWriter struct {
-	users, edges, tweets *os.File
-	uw, ew, tw           *bufio.Writer
-}
-
-func newShardWriter(dir string) (*shardWriter, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	w := &shardWriter{}
-	var err error
-	if w.users, err = os.Create(filepath.Join(dir, usersFile)); err != nil {
-		return nil, err
-	}
-	if w.edges, err = os.Create(filepath.Join(dir, edgesFile)); err != nil {
-		w.close()
-		return nil, err
-	}
-	if w.tweets, err = os.Create(filepath.Join(dir, tweetsFile)); err != nil {
-		w.close()
-		return nil, err
-	}
-	w.uw = bufio.NewWriter(w.users)
-	w.ew = bufio.NewWriter(w.edges)
-	w.tw = bufio.NewWriter(w.tweets)
-	return w, nil
-}
-
-func (w *shardWriter) finish() error {
-	for _, bw := range []*bufio.Writer{w.uw, w.ew, w.tw} {
-		if bw != nil {
-			if err := bw.Flush(); err != nil {
-				w.close()
-				return err
-			}
-		}
-	}
-	var err error
-	for _, f := range []*os.File{w.users, w.edges, w.tweets} {
-		if f != nil {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-	}
-	w.users, w.edges, w.tweets = nil, nil, nil
-	return err
-}
-
-func (w *shardWriter) close() {
-	for _, f := range []*os.File{w.users, w.edges, w.tweets} {
-		if f != nil {
-			f.Close()
-		}
-	}
-}
-
-// copyFile byte-copies src to dst — shard gazetteers must be verbatim
-// copies so no reformat can perturb the shared location universe.
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close() //mlp:allow closecheck error path: the Copy error is returned; a close error on the doomed copy adds nothing
-		return err
-	}
-	return out.Close()
-}
-
-// WriteShards streams the dataset at dir into shards sub-corpora under
-// outDir, one directory per shard, never materializing more than one
-// block of rows. Each shard directory carries a verbatim copy of the
-// gazetteer (the location universe is shared, not partitioned), its
-// owned users (global ids), and its owned relationships prefixed with
-// their global corpus index. truth.json, when present, is copied to
-// outDir whole — ground truth is an evaluation artifact, not fit input,
-// so it is not split. A shards.json manifest records the geometry.
-func WriteShards(dir, outDir string, shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("dataset: shard count %d, want >= 1", shards)
-	}
-	st, err := OpenStream(dir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	writers := make([]*shardWriter, shards)
-	defer func() {
-		for _, w := range writers {
-			if w != nil {
-				w.close()
-			}
-		}
-	}()
-	for s := 0; s < shards; s++ {
-		if writers[s], err = newShardWriter(ShardDir(outDir, s)); err != nil {
-			return err
-		}
-		if err := copyFile(filepath.Join(dir, citiesFile), filepath.Join(ShardDir(outDir, s), citiesFile)); err != nil {
-			return err
-		}
-	}
-
-	man := shardManifest{Version: 1, Shards: shards}
-
-	var users []User
-	for {
-		users, err = st.NextUserBlock(users[:0], streamBlockRows)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for _, u := range users {
-			home := "-"
-			if u.Labeled() {
-				home = strconv.Itoa(int(u.Home))
-			}
-			w := writers[ShardOf(u.ID, shards)]
-			fmt.Fprintf(w.uw, "%d\t%s\t%s\t%s\n", u.ID, sanitize(u.Handle), home, sanitize(u.Registered))
-			man.Users++
-		}
-	}
-
-	var edges []FollowEdge
-	for {
-		edges, err = st.NextEdgeBlock(edges[:0], streamBlockRows)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for _, e := range edges {
-			w := writers[ShardOf(e.From, shards)]
-			fmt.Fprintf(w.ew, "%d\t%d\t%d\n", man.Edges, e.From, e.To)
-			man.Edges++
-		}
-	}
-
-	var tweets []TweetRel
-	for {
-		tweets, err = st.NextTweetBlock(tweets[:0], streamBlockRows)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for _, t := range tweets {
-			w := writers[ShardOf(t.User, shards)]
-			fmt.Fprintf(w.tw, "%d\t%d\t%s\n", man.Tweets, t.User, st.Venues().Venue(t.Venue).Name)
-			man.Tweets++
-		}
-	}
-
-	for s, w := range writers {
-		if err := w.finish(); err != nil {
-			return err
-		}
-		writers[s] = nil
-	}
-
-	if raw, err := os.ReadFile(filepath.Join(dir, truthFile)); err == nil {
-		if err := os.WriteFile(filepath.Join(outDir, truthFile), raw, 0o644); err != nil {
-			return err
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("dataset: %s: %w", truthFile, err)
-	}
-
-	raw, err := json.Marshal(man)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(outDir, shardManifestFile), append(raw, '\n'), 0o644)
-}
-
-// LoadSharded reads a directory written by WriteShards and reassembles
-// the original dataset: tables are preallocated at the manifest's exact
-// sizes and every row lands at its recorded global index, so the result
-// is bit-identical to loading the unsharded source (fingerprint-equal).
-func LoadSharded(outDir string) (*Dataset, error) {
-	raw, err := os.ReadFile(filepath.Join(outDir, shardManifestFile))
-	if err != nil {
-		return nil, err
-	}
-	var man shardManifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", shardManifestFile, err)
-	}
-	if man.Version != 1 {
-		return nil, fmt.Errorf("dataset: %s: unsupported version %d", shardManifestFile, man.Version)
-	}
-	if man.Shards < 1 || man.Users < 0 || man.Edges < 0 || man.Tweets < 0 {
-		return nil, fmt.Errorf("dataset: %s: bad geometry", shardManifestFile)
-	}
-
-	// The gazetteer is a verbatim copy in every shard; read shard 0's.
-	cities, err := loadCities(filepath.Join(ShardDir(outDir, 0), citiesFile))
-	if err != nil {
-		return nil, err
-	}
-	gaz, err := gazetteer.New(cities)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", citiesFile, err)
-	}
-	venues := gazetteer.BuildVenueVocab(gaz)
-
-	d := &Dataset{Corpus: Corpus{
-		Gaz:    gaz,
-		Venues: venues,
-		Users:  make([]User, man.Users),
-		Edges:  make([]FollowEdge, man.Edges),
-		Tweets: make([]TweetRel, man.Tweets),
-	}}
-	seenU := make([]bool, man.Users)
-	seenE := make([]bool, man.Edges)
-	seenT := make([]bool, man.Tweets)
-
-	fill := func(seen []bool, gidx int, what string) error {
-		if gidx < 0 || gidx >= len(seen) || seen[gidx] {
-			return fmt.Errorf("dataset: sharded %s index %d out of range or duplicated", what, gidx)
-		}
-		seen[gidx] = true
-		return nil
-	}
-
-	for s := 0; s < man.Shards; s++ {
-		dir := ShardDir(outDir, s)
-
-		if err := readLines(filepath.Join(dir, usersFile), 4, func(_ int, f []string) error {
-			id, err := strconv.Atoi(f[0])
-			if err != nil {
-				return fmt.Errorf("bad user id %q", f[0])
-			}
-			if err := fill(seenU, id, "user"); err != nil {
-				return err
-			}
-			if ShardOf(UserID(id), man.Shards) != s {
-				return fmt.Errorf("user %d does not belong to shard %d", id, s)
-			}
-			home := NoCity
-			if f[2] != "-" {
-				h, err := strconv.Atoi(f[2])
-				if err != nil {
-					return fmt.Errorf("bad home %q", f[2])
-				}
-				home = gazetteer.CityID(h)
-			}
-			d.Corpus.Users[id] = User{ID: UserID(id), Handle: f[1], Home: home, Registered: f[3]}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-
-		if err := readLines(filepath.Join(dir, edgesFile), 3, func(_ int, f []string) error {
-			gidx, err0 := strconv.Atoi(f[0])
-			from, err1 := strconv.Atoi(f[1])
-			to, err2 := strconv.Atoi(f[2])
-			if err0 != nil || err1 != nil || err2 != nil {
-				return fmt.Errorf("bad edge %q: %q -> %q", f[0], f[1], f[2])
-			}
-			if err := fill(seenE, gidx, "edge"); err != nil {
-				return err
-			}
-			d.Corpus.Edges[gidx] = FollowEdge{From: UserID(from), To: UserID(to)}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-
-		if err := readLines(filepath.Join(dir, tweetsFile), 3, func(_ int, f []string) error {
-			gidx, err0 := strconv.Atoi(f[0])
-			u, err1 := strconv.Atoi(f[1])
-			if err0 != nil || err1 != nil {
-				return fmt.Errorf("bad tweet %q: user %q", f[0], f[1])
-			}
-			vid, ok := venues.ID(f[2])
-			if !ok {
-				return fmt.Errorf("unknown venue %q", f[2])
-			}
-			if err := fill(seenT, gidx, "tweet"); err != nil {
-				return err
-			}
-			d.Corpus.Tweets[gidx] = TweetRel{User: UserID(u), Venue: vid}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	for i, ok := range seenU {
-		if !ok {
-			return nil, fmt.Errorf("dataset: sharded load missing user %d", i)
-		}
-	}
-	for i, ok := range seenE {
-		if !ok {
-			return nil, fmt.Errorf("dataset: sharded load missing edge %d", i)
-		}
-	}
-	for i, ok := range seenT {
-		if !ok {
-			return nil, fmt.Errorf("dataset: sharded load missing tweet %d", i)
-		}
-	}
-
-	if raw, err := os.ReadFile(filepath.Join(outDir, truthFile)); err == nil {
-		var truth GroundTruth
-		if err := json.Unmarshal(raw, &truth); err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", truthFile, err)
-		}
-		d.Truth = &truth
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("dataset: %s: %w", truthFile, err)
-	}
-
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }

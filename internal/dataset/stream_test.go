@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -53,9 +52,9 @@ func hostileWorld(t *testing.T, rng *rand.Rand) *Dataset {
 }
 
 // TestStreamMatchesLoadHostileWorlds is the load-path equivalence
-// property: for hostile random worlds, the in-memory Load, the streaming
-// LoadStreamed, and the shard-split round trip (WriteShards→LoadSharded,
-// S ∈ {1, 3}) must all produce corpora with identical fingerprints.
+// property: for hostile random worlds, the in-memory Load and the
+// streaming LoadStreamed must produce corpora with identical
+// fingerprints.
 func TestStreamMatchesLoadHostileWorlds(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
@@ -86,88 +85,6 @@ func TestStreamMatchesLoadHostileWorlds(t *testing.T) {
 				trial, cap(streamed.Corpus.Users), cap(streamed.Corpus.Edges), cap(streamed.Corpus.Tweets),
 				len(streamed.Corpus.Users), len(streamed.Corpus.Edges), len(streamed.Corpus.Tweets))
 		}
-
-		for _, shards := range []int{1, 3} {
-			out := t.TempDir()
-			if err := WriteShards(dir, out, shards); err != nil {
-				t.Fatalf("trial %d: write %d shards: %v", trial, shards, err)
-			}
-			merged, err := LoadSharded(out)
-			if err != nil {
-				t.Fatalf("trial %d: load %d shards: %v", trial, shards, err)
-			}
-			if got := Fingerprint(&merged.Corpus); got != want {
-				t.Fatalf("trial %d: %d-shard fingerprint differs from Load", trial, shards)
-			}
-			// Fields outside the fingerprint (handles, registered) must
-			// survive the shard round trip too.
-			if !reflect.DeepEqual(merged.Corpus.Users, base.Corpus.Users) {
-				t.Fatalf("trial %d: %d-shard users differ", trial, shards)
-			}
-		}
-	}
-}
-
-// TestWriteShardsPreservesTruth: ground truth rides along whole through a
-// shard split, and every shard directory is independently loadable as far
-// as its gazetteer goes.
-func TestWriteShardsPreservesTruth(t *testing.T) {
-	d := tinyDataset(t)
-	dir := t.TempDir()
-	if err := d.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	out := t.TempDir()
-	if err := WriteShards(dir, out, 2); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := LoadSharded(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Truth == nil {
-		t.Fatal("truth lost in shard round trip")
-	}
-	if !reflect.DeepEqual(merged.Truth, d.Truth) {
-		t.Error("truth differs after shard round trip")
-	}
-	for s := 0; s < 2; s++ {
-		cities, err := loadCities(filepath.Join(ShardDir(out, s), citiesFile))
-		if err != nil {
-			t.Fatalf("shard %d gazetteer: %v", s, err)
-		}
-		if len(cities) != d.Corpus.Gaz.Len() {
-			t.Fatalf("shard %d gazetteer truncated: %d cities", s, len(cities))
-		}
-	}
-}
-
-// TestLoadShardedRejectsTampering: a missing shard row set or a corrupted
-// manifest must fail loudly, never yield a silently smaller corpus.
-func TestLoadShardedRejectsTampering(t *testing.T) {
-	d := tinyDataset(t)
-	dir := t.TempDir()
-	if err := d.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	out := t.TempDir()
-	if err := WriteShards(dir, out, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drop one shard's users table: the dense fill must report the hole.
-	if err := os.WriteFile(filepath.Join(ShardDir(out, 0), usersFile), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(out); err == nil {
-		t.Error("load with emptied shard users succeeded")
-	}
-
-	if err := os.WriteFile(filepath.Join(out, shardManifestFile), []byte(`{"version":9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(out); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("bad manifest version not rejected: %v", err)
 	}
 }
 

@@ -40,18 +40,9 @@ type Options struct {
 	// benchmarks use 1 for wall-clock sanity.
 	FoldLimit  int
 	Iterations int // Gibbs sweeps per fit (default 15)
-	// Workers is the per-fit Gibbs worker count handed to core.Config.
-	// Zero means GOMAXPROCS for single-fold and full-corpus fits, but 1
-	// inside a multi-fold CV pass, whose folds already run concurrently
-	// (see foldWorkers).
-	Workers int
 	// Shards is the per-fit shard count handed to core.Config (default 1,
-	// the single-chain sampler; >1 runs the sharded pipeline and makes
-	// core ignore Workers).
+	// the sequential chain; >1 runs the sharded sweep).
 	Shards int
-	// StaleBoundary selects the Hogwild-style stale boundary protocol for
-	// sharded fits (ignored when Shards <= 1).
-	StaleBoundary bool
 	// DisableGibbsEM turns off the (α, β) refinement (on by default).
 	DisableGibbsEM bool
 	// DistTable selects the sampler's distance fast path (default on;
@@ -76,19 +67,6 @@ func (o Options) withDefaults() Options {
 		o.Iterations = 15
 	}
 	return o
-}
-
-// foldWorkers is the per-fit worker count inside the CV pass. Folds
-// already fan out across GOMAXPROCS, so unless the caller asked for a
-// specific count, concurrent folds run sequential sweeps — avoiding
-// folds×GOMAXPROCS oversubscription and keeping the CV pass
-// machine-independent for a fixed seed. Single-fold runs (the benches)
-// and the full-corpus fit keep the GOMAXPROCS default.
-func (r *Runner) foldWorkers() int {
-	if r.opts.Workers == 0 && r.opts.FoldLimit > 1 {
-		return 1
-	}
-	return r.opts.Workers
 }
 
 // Runner generates the world once and lazily computes each experiment,
@@ -244,14 +222,12 @@ func (r *Runner) runFold(f int, test []dataset.UserID) (*foldResult, error) {
 	} {
 		name, variant := mv.name, mv.variant
 		cfg := core.Config{
-			Seed:          r.opts.Seed + 1000 + int64(f),
-			Iterations:    r.opts.Iterations,
-			Variant:       variant,
-			Workers:       r.foldWorkers(),
-			Shards:        r.opts.Shards,
-			StaleBoundary: r.opts.StaleBoundary,
-			GibbsEM:       !r.opts.DisableGibbsEM,
-			DistTable:     r.opts.DistTable,
+			Seed:       r.opts.Seed + 1000 + int64(f),
+			Iterations: r.opts.Iterations,
+			Variant:    variant,
+			Shards:     r.opts.Shards,
+			GibbsEM:    !r.opts.DisableGibbsEM,
+			DistTable:  r.opts.DistTable,
 		}
 		if name == MethodMLP && f == 0 {
 			// Fig. 5: trace test accuracy across sweeps.
@@ -318,13 +294,11 @@ func (r *Runner) ensureFull() error {
 		return nil
 	}
 	m, err := core.Fit(&r.data.Corpus, core.Config{
-		Seed:          r.opts.Seed + 7777,
-		Iterations:    r.opts.Iterations,
-		Workers:       r.opts.Workers,
-		Shards:        r.opts.Shards,
-		StaleBoundary: r.opts.StaleBoundary,
-		GibbsEM:       !r.opts.DisableGibbsEM,
-		DistTable:     r.opts.DistTable,
+		Seed:       r.opts.Seed + 7777,
+		Iterations: r.opts.Iterations,
+		Shards:     r.opts.Shards,
+		GibbsEM:    !r.opts.DisableGibbsEM,
+		DistTable:  r.opts.DistTable,
 	})
 	if err != nil {
 		return err

@@ -8,8 +8,8 @@ import "math/rand"
 // "gamma") and each output is a strong bit-mix of the state. Distinct
 // streams derived from the same seed use distinct gammas, so their
 // sequences are statistically independent rather than shifted copies of
-// one another — exactly what a parallel Gibbs sweep needs for its
-// per-worker RNGs.
+// one another — exactly what the sharded Gibbs sweep needs for its
+// per-shard RNGs.
 type SplitMix64 struct {
 	state uint64
 	gamma uint64
@@ -51,9 +51,9 @@ func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 func (s *SplitMix64) Seed(seed int64) { *s = *NewSplitMix64(seed) }
 
 // Stream returns a *rand.Rand drawing from the stream-th independent
-// sequence derived from seed. Workers of a parallel sampler each take one
-// stream so that every (seed, stream) pair is reproducible while no two
-// workers share or split a single sequential chain.
+// sequence derived from seed. The shards of a parallel sweep each take
+// one stream so that every (seed, stream) pair is reproducible while no
+// two shards share or split a single sequential chain.
 func Stream(seed int64, stream uint64) *rand.Rand {
 	return rand.New(NewStreamSource(seed, stream))
 }

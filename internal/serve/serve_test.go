@@ -32,7 +32,7 @@ func fixture(t *testing.T) (*dataset.Dataset, *core.Model, *Server) {
 		if err != nil {
 			panic(err)
 		}
-		m, err := core.Fit(&d.Corpus, core.Config{Seed: 2, Iterations: 4, Workers: 1})
+		m, err := core.Fit(&d.Corpus, core.Config{Seed: 2, Iterations: 4})
 		if err != nil {
 			panic(err)
 		}

@@ -37,7 +37,7 @@ func smallFit(t *testing.T, seed int64, shards int) (*dataset.Dataset, *core.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.Fit(&d.Corpus, core.Config{Seed: 3, Iterations: 2, Workers: 1, Shards: shards})
+	m, err := core.Fit(&d.Corpus, core.Config{Seed: 3, Iterations: 2, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,18 +210,6 @@ func LoadDataset(dir string) (*Dataset, error) { return dataset.Load(dir) }
 // memory during the parse. See DESIGN.md §11.
 func LoadDatasetStreamed(dir string) (*Dataset, error) { return dataset.LoadStreamed(dir) }
 
-// WriteDatasetShards splits a dataset directory into per-shard
-// sub-corpora under outDir (shard assignment by stable user-id hash),
-// loadable individually or merged losslessly by LoadShardedDataset.
-func WriteDatasetShards(dir, outDir string, shards int) error {
-	return dataset.WriteShards(dir, outDir, shards)
-}
-
-// LoadShardedDataset merges a sharded corpus directory written by
-// WriteDatasetShards back into a single dataset, bit-identical to
-// loading the original directory.
-func LoadShardedDataset(outDir string) (*Dataset, error) { return dataset.LoadSharded(outDir) }
-
 // KFold partitions user IDs into k folds for cross validation.
 func KFold(n, k int, seed int64) [][]UserID { return dataset.KFold(n, k, seed) }
 
