@@ -144,11 +144,15 @@ type Config struct {
 	MaxVenueSenses int
 
 	// GibbsEM enables the outer Gibbs-EM loop re-estimating (Alpha, Beta)
-	// every EMInterval iterations (default interval 5).
+	// every EMInterval iterations (default interval 5; negative is an
+	// error).
 	GibbsEM    bool
 	EMInterval int
 	// EMPairSample is the number of labeled user pairs sampled for the
-	// M-step's denominator histogram (default 200000).
+	// denominator histogram of the initial power-law fit and of every
+	// M-step (default 200000; negative is an error). Each sample costs two
+	// or more RNG draws; a pair's distance bin is computed once per fit
+	// and then read from a memo over the distinct labeled homes.
 	EMPairSample int
 
 	// BlockedSampler replaces the paper's per-variable updates with a
@@ -260,6 +264,12 @@ func (c Config) validate() error {
 	}
 	if c.MaxCandidates < 1 || c.MaxVenueSenses < 1 {
 		return errors.New("core: candidate caps must be >= 1")
+	}
+	if c.EMInterval < 0 {
+		return fmt.Errorf("core: EMInterval=%d must be positive (or zero for the default)", c.EMInterval)
+	}
+	if c.EMPairSample < 0 {
+		return fmt.Errorf("core: EMPairSample=%d must be positive (or zero for the default)", c.EMPairSample)
 	}
 	return nil
 }

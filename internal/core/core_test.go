@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mlprofile/internal/dataset"
@@ -169,6 +170,22 @@ func TestFitConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Fit(&d.Corpus, cfg); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+	// Negative EM knobs are rejected by name: a negative EMPairSample
+	// would empty every denominator histogram (silently keeping the
+	// fallback α, β), a negative EMInterval would act as its absolute
+	// value.
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"EMPairSample", Config{GibbsEM: true, EMPairSample: -1}},
+		{"EMInterval", Config{GibbsEM: true, EMInterval: -5}},
+	} {
+		_, err := Fit(&d.Corpus, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s < 0: error %v, want one naming the field", c.field, err)
 		}
 	}
 }

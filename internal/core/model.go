@@ -26,6 +26,13 @@ type Model struct {
 	dt   *distTable
 	etab []edgeCache
 
+	// homes is the labeled-home index of the power-law histograms (see
+	// homeIndex), built at their first use in a fit and dropped when Fit
+	// returns. maxU caps both its bin memo and the distance table's
+	// universe matrices.
+	homes *homeIndex
+	maxU  int
+
 	useF, useT bool
 
 	// phaseSec accumulates wall-clock seconds per fit phase (init/… /
@@ -99,7 +106,8 @@ func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
 }
 
 // fit is Fit with the distance table's universe budget as a parameter,
-// so tests can force the single-lookup fallback of every kernel.
+// so tests can force the single-lookup fallback of every kernel. The
+// budget caps the home index's bin memo too (labeledHomes).
 func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -117,6 +125,7 @@ func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 		useT:   cfg.Variant != FollowingOnly,
 		alpha:  cfg.Alpha,
 		beta:   cfg.Beta,
+		maxU:   maxU,
 	}
 	m.seq = &sweepCtx{m: m, rng: m.rng}
 	hasObs := (m.useF && len(c.Edges) > 0) || (m.useT && len(c.Tweets) > 0)
@@ -165,10 +174,12 @@ func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 		}
 	}
 	// The universe matrices live only while the sweeps need them; every
-	// later reader is served by single lookups of the same values.
+	// later reader is served by single lookups of the same values. The
+	// home index serves only the power-law fits, which are over too.
 	if m.dt != nil {
 		m.dt.release()
 	}
+	m.homes = nil
 	return m, nil
 }
 

@@ -567,16 +567,30 @@ const (
 	histBins  = 18
 )
 
+// histMiles is the distance the power-law histograms bucket: the
+// great-circle distance between cities a and b, clamped to the 1-mile
+// floor histMin.
+func histMiles(dc *distCalc, a, b gazetteer.CityID) float64 {
+	d := dc.miles(a, b)
+	if d < histMin {
+		d = histMin
+	}
+	return d
+}
+
 // initPowerLawFromData learns (α, β) before sampling begins, exactly the
 // way the paper learned its −0.55/0.0045 (Sec. 4.1): bucket observed edges
 // by the distance between their endpoints' *observed home labels*, divide
 // by the labeled-pair distance distribution, and fit the power law.
-// setAlpha/setBeta select which parameters the fit may overwrite.
+// setAlpha/setBeta select which parameters the fit may overwrite. Both
+// endpoints of a doubly-labeled edge are labeled homes, so their bin comes
+// from the same memo as the denominator's (homeIndex).
 func (m *Model) initPowerLawFromData(setAlpha, setBeta bool) {
 	num, err := stats.NewLogHistogram(histMin, histRatio, histBins)
 	if err != nil {
 		return
 	}
+	hx := m.labeledHomes()
 	edges := 0
 	for _, e := range m.corpus.Edges {
 		hf := m.corpus.Users[e.From].Home
@@ -584,11 +598,7 @@ func (m *Model) initPowerLawFromData(setAlpha, setBeta bool) {
 		if hf == dataset.NoCity || ht == dataset.NoCity {
 			continue
 		}
-		d := m.dc.miles(hf, ht)
-		if d < histMin {
-			d = histMin
-		}
-		num.Observe(d)
+		num.AddBin(hx.bin(num, hx.uid[hf], hx.uid[ht]), 1)
 		edges++
 	}
 	if edges < 100 {
@@ -620,11 +630,7 @@ func (m *Model) refitPowerLaw() {
 		}
 		x := m.cands.cand[e.From][m.ex[s]]
 		y := m.cands.cand[e.To][m.ey[s]]
-		d := m.dc.miles(x, y)
-		if d < histMin {
-			d = histMin
-		}
-		num.Observe(d)
+		num.Observe(histMiles(m.dc, x, y))
 		edges++
 	}
 	if edges < 100 {
@@ -643,7 +649,7 @@ func (m *Model) refitPowerLaw() {
 // fitLawAgainstPairs divides the edge-distance histogram by the
 // labeled-pair distance histogram and fits a clamped power law.
 func (m *Model) fitLawAgainstPairs(num *stats.Histogram) (alpha, beta float64, ok bool) {
-	den := m.labeledPairHistogram(histMin, histRatio, histBins)
+	den := m.labeledPairHistogram()
 	if den == nil {
 		return 0, 0, false
 	}
@@ -673,19 +679,17 @@ func (m *Model) fitLawAgainstPairs(num *stats.Histogram) (alpha, beta float64, o
 }
 
 // labeledPairHistogram estimates the distance distribution of labeled user
-// pairs by sampling, scaled to the full (ordered) pair count.
-func (m *Model) labeledPairHistogram(min, ratio float64, bins int) *stats.Histogram {
-	var labeled []int32
-	for i, u := range m.corpus.Users {
-		if u.Labeled() {
-			labeled = append(labeled, int32(i))
-		}
-	}
-	nL := len(labeled)
+// pairs by sampling, scaled to the full (ordered) pair count. Each sample
+// draws two labeled users from the model RNG and reads the bin of their
+// homes from the fit's home index, which evaluates a home pair's distance
+// only the first time it is drawn.
+func (m *Model) labeledPairHistogram() *stats.Histogram {
+	hx := m.labeledHomes()
+	nL := len(hx.hid)
 	if nL < 2 {
 		return nil
 	}
-	h, err := stats.NewLogHistogram(min, ratio, bins)
+	h, err := stats.NewLogHistogram(histMin, histRatio, histBins)
 	if err != nil {
 		return nil
 	}
@@ -693,19 +697,83 @@ func (m *Model) labeledPairHistogram(min, ratio float64, bins int) *stats.Histog
 	totalPairs := float64(nL) * float64(nL-1)
 	scale := totalPairs / float64(samples)
 	for i := 0; i < samples; i++ {
-		a := labeled[m.rng.Intn(nL)]
-		b := labeled[m.rng.Intn(nL)]
+		a := m.rng.Intn(nL)
+		b := m.rng.Intn(nL)
 		for b == a {
 			// Resample on collision so every iteration contributes one
 			// uniform ordered pair and the totalPairs/samples scale stays
 			// exact (skipping would under-weight the histogram by ~1/nL).
-			b = labeled[m.rng.Intn(nL)]
+			b = m.rng.Intn(nL)
 		}
-		d := m.dc.miles(m.corpus.Users[a].Home, m.corpus.Users[b].Home)
-		if d < min {
-			d = min
-		}
-		h.Add(d, scale)
+		h.AddBin(hx.bin(h, hx.hid[a], hx.hid[b]), scale)
 	}
 	return h
+}
+
+// homeIndex indexes a fit's labeled homes for the power-law histograms.
+// Every distinct labeled home gets a compact id in first-seen (user)
+// order, and bins memoizes the histogram bin of each pair of home ids.
+// Labeled homes do not move during a fit, so a pair's bin, computed the
+// first time the pair is drawn, serves every later draw of it. The RNG
+// draws, their order and the per-sample accumulation are those of the
+// per-sample evaluation, so the histograms are equal bit for bit.
+type homeIndex struct {
+	dc *distCalc
+	// uid[l] is home city l's compact id, −1 where no labeled user
+	// lives; homes lists the distinct homes by compact id.
+	uid   []int32
+	homes []gazetteer.CityID
+	// hid holds each labeled user's compact home id, in user order.
+	hid []int32
+	// bins[a*H+b] is 2 + the bin of home ids a and b (so bin −1, below
+	// range, fits a byte), 0 until the pair is first drawn; symmetric,
+	// since the haversine is. Nil above the size cap: every sample then
+	// evaluates its pair's distance.
+	bins []uint8
+}
+
+// newHomeIndex indexes c's labeled homes, with the H×H bin memo when
+// there are at most maxH distinct homes.
+func newHomeIndex(c *dataset.Corpus, dc *distCalc, maxH int) *homeIndex {
+	var seq []gazetteer.CityID
+	for _, u := range c.Users {
+		if u.Labeled() {
+			seq = append(seq, u.Home)
+		}
+	}
+	uid, homes := universeIDs(c.Gaz.Len(), [][]gazetteer.CityID{seq})
+	hx := &homeIndex{dc: dc, uid: uid, homes: homes, hid: make([]int32, len(seq))}
+	for i, l := range seq {
+		hx.hid[i] = uid[l]
+	}
+	if H := len(homes); H <= maxH {
+		hx.bins = make([]uint8, H*H)
+	}
+	return hx
+}
+
+// bin returns h's bin of the clamped distance between the homes with
+// compact ids a and b. h has the power-law histograms' binning (histMin,
+// histRatio, histBins), which is what the memo holds.
+func (hx *homeIndex) bin(h *stats.Histogram, a, b int32) int {
+	if hx.bins == nil {
+		return h.Bin(histMiles(hx.dc, hx.homes[a], hx.homes[b]))
+	}
+	H := len(hx.homes)
+	if v := hx.bins[int(a)*H+int(b)]; v != 0 {
+		return int(v) - 2
+	}
+	i := h.Bin(histMiles(hx.dc, hx.homes[a], hx.homes[b]))
+	hx.bins[int(a)*H+int(b)], hx.bins[int(b)*H+int(a)] = uint8(i+2), uint8(i+2)
+	return i
+}
+
+// labeledHomes returns the fit's home index, building it on first use.
+// Fit drops it on return; snapshot-loaded models never fit a power law,
+// so they never build one.
+func (m *Model) labeledHomes() *homeIndex {
+	if m.homes == nil {
+		m.homes = newHomeIndex(m.corpus, m.dc, m.maxU)
+	}
+	return m.homes
 }

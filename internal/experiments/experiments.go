@@ -46,21 +46,7 @@ func (r *Runner) Fig3a() (*Series, powerlaw.PowerLaw, error) {
 		return nil, powerlaw.PowerLaw{}, fmt.Errorf("experiments: no labeled users for Fig 3a")
 	}
 	den, _ := stats.NewLogHistogram(min, ratio, bins)
-	rng := rand.New(rand.NewSource(r.opts.Seed + 31))
-	const samples = 400000
-	scale := float64(len(labeled)) * float64(len(labeled)-1) / samples
-	for i := 0; i < samples; i++ {
-		a := labeled[rng.Intn(len(labeled))]
-		b := labeled[rng.Intn(len(labeled))]
-		if a == b {
-			continue
-		}
-		d := gaz.Distance(c.Users[a].Home, c.Users[b].Home)
-		if d < min {
-			d = min
-		}
-		den.Add(d, scale)
-	}
+	addLabeledPairs(den, rand.New(rand.NewSource(r.opts.Seed+31)), c, labeled, 400000, min)
 	xs, ps, err := num.Ratio(den)
 	if err != nil {
 		return nil, powerlaw.PowerLaw{}, err
@@ -83,6 +69,28 @@ func (r *Runner) Fig3a() (*Series, powerlaw.PowerLaw, error) {
 		s.Set("fit", i, law.Eval(x))
 	}
 	return s, law, nil
+}
+
+// addLabeledPairs adds to den the distances between the homes of samples
+// uniform ordered pairs of distinct labeled users, clamped below at min
+// and scaled so den's total weight is the number of such pairs,
+// nL·(nL−1). A collision redraws the second user, so every sample counts
+// and the scale stays exact, as in core's labeled-pair estimator.
+func addLabeledPairs(den *stats.Histogram, rng *rand.Rand, c *dataset.Corpus, labeled []dataset.UserID, samples int, min float64) {
+	nL := len(labeled)
+	scale := float64(nL) * float64(nL-1) / float64(samples)
+	for i := 0; i < samples; i++ {
+		a := labeled[rng.Intn(nL)]
+		b := labeled[rng.Intn(nL)]
+		for b == a {
+			b = labeled[rng.Intn(nL)]
+		}
+		d := c.Gaz.Distance(c.Users[a].Home, c.Users[b].Home)
+		if d < min {
+			d = min
+		}
+		den.Add(d, scale)
+	}
 }
 
 // Fig3b tabulates the tweeting probabilities of the top venues at two

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"mlprofile/internal/stats"
 )
 
 // sharedRunner is built once per test binary: a small world with one CV
@@ -55,6 +59,23 @@ func TestFig3aShape(t *testing.T) {
 	}
 	if head <= tail {
 		t.Errorf("following probability does not decay: head=%f tail=%f", head, tail)
+	}
+}
+
+// TestAddLabeledPairsTotalWeight: Fig. 3a's denominator weighs every
+// sample, collisions included, so its total is nL·(nL−1) — also for two
+// or three labeled users, where half or a third of the second draws
+// collide and skipping them would leave that share of the weight out.
+func TestAddLabeledPairsTotalWeight(t *testing.T) {
+	c := &runner(t).data.Corpus
+	labeled := c.LabeledUsers()
+	for _, nL := range []int{2, 3, len(labeled)} {
+		den, _ := stats.NewLogHistogram(1, 1.5, 22)
+		addLabeledPairs(den, rand.New(rand.NewSource(int64(nL))), c, labeled[:nL], 20000, 1)
+		want := float64(nL) * float64(nL-1)
+		if got := den.Total(); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("nL=%d: total weight %v, want nL(nL−1) = %v", nL, got, want)
+		}
 	}
 }
 

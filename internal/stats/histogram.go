@@ -37,9 +37,10 @@ func NewLogHistogram(min, ratio float64, nbins int) (*Histogram, error) {
 	return &Histogram{log: true, width: math.Log(ratio), min: min, counts: make([]float64, nbins)}, nil
 }
 
-// binOf returns the bin index for x, or -1 if below range, len(counts) if
-// overflow.
-func (h *Histogram) binOf(x float64) int {
+// Bin returns the bin index for x, or -1 if below range, len(counts) if
+// overflow. A bin computed once can be accumulated any number of times
+// with AddBin.
+func (h *Histogram) Bin(x float64) int {
 	if math.IsNaN(x) {
 		return -1
 	}
@@ -67,11 +68,16 @@ func (h *Histogram) binOf(x float64) int {
 
 // Add accumulates weight w at value x. Below-range values are dropped;
 // above-range values go to the overflow bucket. Add with w <= 0 is a no-op.
-func (h *Histogram) Add(x, w float64) {
+func (h *Histogram) Add(x, w float64) { h.AddBin(h.Bin(x), w) }
+
+// AddBin accumulates weight w in bin i as returned by Bin, exactly as Add
+// does for a value in that bin: i < 0 is dropped, i == Bins() goes to the
+// overflow bucket, and w <= 0 is a no-op.
+func (h *Histogram) AddBin(i int, w float64) {
 	if w <= 0 {
 		return
 	}
-	switch i := h.binOf(x); {
+	switch {
 	case i < 0:
 		return
 	case i == len(h.counts):

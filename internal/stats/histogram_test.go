@@ -110,6 +110,31 @@ func TestHistogramTotalInvariant(t *testing.T) {
 	}
 }
 
+// TestHistogramBinAndAddBin: Bin maps NaN and below-range values to −1
+// and values from the last edge on to Bins(); AddBin drops bin −1, sends
+// bin Bins() to the overflow, ignores non-positive weights and counts
+// everything it keeps in the total — what Add does for the same values.
+func TestHistogramBinAndAddBin(t *testing.T) {
+	h, _ := NewLogHistogram(1, 2, 3) // [1,2) [2,4) [4,8), overflow >= 8
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{{math.NaN(), -1}, {0.5, -1}, {1, 0}, {3, 1}, {7.9, 2}, {8, 3}, {1e9, 3}} {
+		if got := h.Bin(c.x); got != c.want {
+			t.Errorf("Bin(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+	h.AddBin(-1, 5)
+	h.AddBin(1, 0)
+	h.AddBin(1, -2)
+	h.AddBin(1, 1.5)
+	h.AddBin(3, 2)
+	if h.Count(0) != 0 || h.Count(1) != 1.5 || h.Count(2) != 0 || h.Overflow() != 2 || h.Total() != 3.5 {
+		t.Errorf("counts %v %v %v, overflow %v, total %v; want 0 1.5 0, 2, 3.5",
+			h.Count(0), h.Count(1), h.Count(2), h.Overflow(), h.Total())
+	}
+}
+
 // TestLogHistogramBinContainsCenter: every bin's center lies within its own
 // edges, for both binning modes.
 func TestHistogramCenterWithinEdges(t *testing.T) {
