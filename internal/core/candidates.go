@@ -1,11 +1,29 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"mlprofile/internal/dataset"
 	"mlprofile/internal/gazetteer"
 )
+
+// candidateIndexLimit bounds every candidacy vector: the latent
+// assignments ex, ey and tz, and the snapshot's u16s that carry them,
+// hold candidate indexes as uint16, which address 65,536 candidates.
+const candidateIndexLimit = 1 << 16
+
+// checkCandidateLimit refuses AllLocationCandidates on a gazetteer whose
+// cities, every one a candidate of every user, uint16 indexes cannot
+// address. Config.validate bounds MaxCandidates, which caps every other
+// candidacy vector.
+func checkCandidateLimit(cfg Config, g *gazetteer.Gazetteer) error {
+	if cfg.AllLocationCandidates && g.Len() > candidateIndexLimit {
+		return fmt.Errorf("core: AllLocationCandidates on a %d-city gazetteer exceeds the limit of %d candidates (uint16 candidate indexes)", g.Len(), candidateIndexLimit)
+	}
+	return nil
+}
 
 // buildCandidates constructs each user's candidacy vector λ_i (Sec. 4.3):
 // the locations observed in the user's own relationships — labeled
@@ -53,139 +71,188 @@ func buildCandidates(c *dataset.Corpus, cfg Config, useF, useT bool) *candidateS
 		return cs
 	}
 
-	// Evidence accumulation per user.
-	evidence := make([]map[gazetteer.CityID]float64, n)
-	bump := func(u dataset.UserID, l gazetteer.CityID, w float64) {
-		if evidence[u] == nil {
-			evidence[u] = make(map[gazetteer.CityID]float64, 8)
-		}
-		evidence[u][l] += w
-	}
+	ev := newEvidence(c, cfg.MaxVenueSenses, useF, useT)
 
-	if useF {
-		for _, e := range c.Edges {
-			if h := c.Users[e.To].Home; h != dataset.NoCity {
-				bump(e.From, h, 1)
-			}
-			if h := c.Users[e.From].Home; h != dataset.NoCity {
-				bump(e.To, h, 1)
-			}
-		}
-	}
-	if useT {
-		for _, t := range c.Tweets {
-			v := c.Venues.Venue(t.Venue)
-			senses := v.Locations
-			if len(senses) > cfg.MaxVenueSenses {
-				senses = senses[:cfg.MaxVenueSenses]
-			}
-			for rank, l := range senses {
-				// Population-ranked senses: the default sense gets full
-				// weight, later senses progressively less.
-				bump(t.User, l, 1/float64(rank+1))
-			}
-		}
-	}
-
-	// Global fallback: most frequent labeled homes.
-	fallback := topLabeledHomes(c, 10)
-
-	for u := range c.Users {
-		home := c.Users[u].Home
-		ev := evidence[u]
-		if ev == nil {
-			ev = make(map[gazetteer.CityID]float64, len(fallback)+1)
-		}
-		if home != dataset.NoCity {
-			if _, ok := ev[home]; !ok {
-				ev[home] = 0.5 // guarantee candidacy for the observed home
-			}
-		}
-		if len(ev) == 0 {
-			for _, l := range fallback {
-				ev[l] = 0.1
-			}
-		}
-
-		type cw struct {
-			l gazetteer.CityID
-			w float64
-		}
-		list := make([]cw, 0, len(ev))
-		//mlp:allow maporder order-independent: list is fully sorted with a deterministic tie-break below
-		for l, w := range ev {
-			list = append(list, cw{l, w})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].w != list[j].w {
-				return list[i].w > list[j].w
-			}
-			return list[i].l < list[j].l
-		})
-		if len(list) > cfg.MaxCandidates {
-			// Never evict the observed home when truncating.
-			kept := list[:cfg.MaxCandidates]
-			if home != dataset.NoCity {
-				present := false
-				for _, e := range kept {
-					if e.l == home {
-						present = true
-						break
-					}
-				}
-				if !present {
-					kept[len(kept)-1] = cw{home, 0.5}
-				}
-			}
-			list = kept
-		}
-
-		cands := make([]gazetteer.CityID, len(list))
-		g := make([]float64, len(list))
-		sum := 0.0
-		for i, e := range list {
-			cands[i] = e.l
-			g[i] = cfg.Tau
-			if e.l == home {
-				g[i] += cfg.GammaBoost
-			}
-			sum += g[i]
-		}
-		cs.cand[u] = cands
-		cs.gamma[u] = g
-		cs.gammaSum[u] = sum
-	}
-	cs.interleave()
-	return cs
-}
-
-// interleave repacks the per-user candidate and prior rows into two
-// contiguous slabs in user order — the order the sweeps walk them — so
-// the fill kernels' gather and prefix-sum loops stream stride-1 memory
-// (the interleaved layout of DESIGN.md §14). Purely a relocation done
-// once at build time: values, lengths and draw order are untouched.
-// Full-capacity re-slices keep any future append from clobbering a
-// neighbor row. The AllLocationCandidates path skips this (its rows
-// already share one allocation per kind).
-func (cs *candidateSet) interleave() {
+	// The rows go into two contiguous slabs in user order — the order the
+	// sweeps walk them — so the fill kernels' gather and prefix-sum loops
+	// stream stride-1 memory (the interleaved layout of DESIGN.md §14). A
+	// first pass over the evidence sizes the slabs exactly; full-capacity
+	// row slices keep any future append from clobbering a neighbor row.
 	total := 0
-	for _, c := range cs.cand {
-		total += len(c)
+	for u := range c.Users {
+		total += min(len(ev.user(u)), cfg.MaxCandidates)
 	}
 	candSlab := make([]gazetteer.CityID, 0, total)
 	gammaSlab := make([]float64, 0, total)
-	for u := range cs.cand {
-		cb, gb := len(candSlab), len(gammaSlab)
-		candSlab = append(candSlab, cs.cand[u]...)
-		gammaSlab = append(gammaSlab, cs.gamma[u]...)
-		cs.cand[u] = candSlab[cb:len(candSlab):len(candSlab)]
-		cs.gamma[u] = gammaSlab[gb:len(gammaSlab):len(gammaSlab)]
+	for u := range c.Users {
+		home := c.Users[u].Home
+		list := ev.user(u)
+		slices.SortFunc(list, byEvidence)
+		if len(list) > cfg.MaxCandidates {
+			// Never evict the observed home when truncating.
+			list = list[:cfg.MaxCandidates]
+			if home != dataset.NoCity && !slices.ContainsFunc(list, func(e cityWeight) bool { return e.l == home }) {
+				list[len(list)-1] = cityWeight{home, 0.5}
+			}
+		}
+		b := len(candSlab)
+		sum := 0.0
+		for _, e := range list {
+			g := cfg.Tau
+			if e.l == home {
+				g += cfg.GammaBoost
+			}
+			candSlab = append(candSlab, e.l)
+			gammaSlab = append(gammaSlab, g)
+			sum += g
+		}
+		cs.cand[u] = candSlab[b:len(candSlab):len(candSlab)]
+		cs.gamma[u] = gammaSlab[b:len(gammaSlab):len(gammaSlab)]
+		cs.gammaSum[u] = sum
 	}
+	return cs
+}
+
+// cityWeight is one city of a user's evidence and its summed weight.
+type cityWeight struct {
+	l gazetteer.CityID
+	w float64
+}
+
+// byEvidence orders a user's evidence heaviest first, then by city id:
+// a total order over the user's distinct cities, so the sorted list does
+// not depend on the sort algorithm.
+func byEvidence(a, b cityWeight) int {
+	if a.w != b.w {
+		if a.w > b.w {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.l, b.l)
+}
+
+// evidence sums each user's candidacy evidence per city. The labeled
+// neighbor homes of a user's edges and the venues of the user's tweets
+// sit in per-user lists in corpus order, so a user's per-city sums take
+// the same additions in the same order — edges, then tweets, each in
+// corpus order — as one pass over all edges and then all tweets would
+// give them.
+type evidence struct {
+	c         *dataset.Corpus
+	maxSenses int
+	fallback  []gazetteer.CityID
+
+	nbrOff, tweetOff []int
+	nbrHome          []gazetteer.CityID
+	tweetVenue       []gazetteer.VenueID
+
+	// acc is the per-city sum of the user being read, all zero between
+	// users: every bump is positive, so zero means untouched. touched
+	// lists the cities bumped, first touch first, and list is the
+	// (city, weight) buffer user returns.
+	acc     []float64
+	touched []gazetteer.CityID
+	list    []cityWeight
+}
+
+func newEvidence(c *dataset.Corpus, maxSenses int, useF, useT bool) *evidence {
+	n := len(c.Users)
+	ev := &evidence{
+		c:         c,
+		maxSenses: maxSenses,
+		fallback:  topLabeledHomes(c, 10),
+		acc:       make([]float64, c.Gaz.Len()),
+	}
+	ev.nbrOff, ev.nbrHome = groupByUser(n, func(emit func(dataset.UserID, gazetteer.CityID)) {
+		if !useF {
+			return
+		}
+		for _, e := range c.Edges {
+			if h := c.Users[e.To].Home; h != dataset.NoCity {
+				emit(e.From, h)
+			}
+			if h := c.Users[e.From].Home; h != dataset.NoCity {
+				emit(e.To, h)
+			}
+		}
+	})
+	ev.tweetOff, ev.tweetVenue = groupByUser(n, func(emit func(dataset.UserID, gazetteer.VenueID)) {
+		if !useT {
+			return
+		}
+		for _, t := range c.Tweets {
+			emit(t.User, t.Venue)
+		}
+	})
+	return ev
+}
+
+// groupByUser is a stable counting sort: user u's list is
+// vals[off[u]:off[u+1]], the values each reports for u in the order it
+// reports them. each runs twice, counting and then filling, and must
+// report the same sequence both times.
+func groupByUser[T any](n int, each func(emit func(dataset.UserID, T))) (off []int, vals []T) {
+	off = make([]int, n+1)
+	each(func(u dataset.UserID, _ T) { off[u+1]++ })
+	for u := range n {
+		off[u+1] += off[u]
+	}
+	vals = make([]T, off[n])
+	next := slices.Clone(off[:n])
+	each(func(u dataset.UserID, v T) {
+		vals[next[u]] = v
+		next[u]++
+	})
+	return off, vals
+}
+
+// user returns user u's evidence, unsorted, in a buffer the next call
+// reuses. An observed home nothing else touched enters at 0.5,
+// guaranteeing its candidacy; a user with no evidence and no home gets
+// the fallback homes at 0.1 each.
+func (ev *evidence) user(u int) []cityWeight {
+	acc, touched := ev.acc, ev.touched[:0]
+	bump := func(l gazetteer.CityID, w float64) {
+		if acc[l] == 0 {
+			touched = append(touched, l)
+		}
+		acc[l] += w
+	}
+	for _, h := range ev.nbrHome[ev.nbrOff[u]:ev.nbrOff[u+1]] {
+		bump(h, 1)
+	}
+	for _, v := range ev.tweetVenue[ev.tweetOff[u]:ev.tweetOff[u+1]] {
+		senses := ev.c.Venues.Venue(v).Locations
+		if len(senses) > ev.maxSenses {
+			senses = senses[:ev.maxSenses]
+		}
+		for rank, l := range senses {
+			// Population-ranked senses: the default sense gets full
+			// weight, later senses progressively less.
+			bump(l, 1/float64(rank+1))
+		}
+	}
+	list := ev.list[:0]
+	if home := ev.c.Users[u].Home; home != dataset.NoCity && acc[home] == 0 {
+		list = append(list, cityWeight{home, 0.5})
+	}
+	for _, l := range touched {
+		list = append(list, cityWeight{l, acc[l]})
+		acc[l] = 0
+	}
+	if len(list) == 0 {
+		for _, l := range ev.fallback {
+			list = append(list, cityWeight{l, 0.1})
+		}
+	}
+	ev.touched, ev.list = touched, list
+	return list
 }
 
 // topLabeledHomes returns the k most frequent observed home locations.
 func topLabeledHomes(c *dataset.Corpus, k int) []gazetteer.CityID {
-	counts := make(map[gazetteer.CityID]int)
+	counts := make([]int, c.Gaz.Len())
 	for _, u := range c.Users {
 		if u.Home != dataset.NoCity {
 			counts[u.Home]++
@@ -195,16 +262,14 @@ func topLabeledHomes(c *dataset.Corpus, k int) []gazetteer.CityID {
 		l gazetteer.CityID
 		n int
 	}
-	list := make([]lc, 0, len(counts))
-	//mlp:allow maporder order-independent: list is fully sorted with a deterministic tie-break below
+	var list []lc
 	for l, n := range counts {
-		list = append(list, lc{l, n})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].n != list[j].n {
-			return list[i].n > list[j].n
+		if n > 0 {
+			list = append(list, lc{gazetteer.CityID(l), n})
 		}
-		return list[i].l < list[j].l
+	}
+	slices.SortFunc(list, func(a, b lc) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.l, b.l))
 	})
 	if len(list) > k {
 		list = list[:k]

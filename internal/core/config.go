@@ -137,7 +137,8 @@ type Config struct {
 	// multinomials ψ_l (default 0.01).
 	Delta float64
 
-	// MaxCandidates caps a user's candidacy vector size (default 40).
+	// MaxCandidates caps a user's candidacy vector size (default 40; at
+	// most 65,536, the candidates a uint16 assignment index addresses).
 	MaxCandidates int
 	// MaxVenueSenses caps how many senses of an ambiguous venue feed a
 	// user's candidate set (default 5).
@@ -180,7 +181,7 @@ type Config struct {
 	DisableSupervision bool
 	// AllLocationCandidates disables candidacy vectors: every location in
 	// L is a candidate for every user (the efficiency ablation; quadratic
-	// in |L|, use only on small worlds).
+	// in |L|, use only on small worlds, and refused above 65,536 cities).
 	AllLocationCandidates bool
 
 	// OnIteration, when set, is invoked after every Gibbs sweep with the
@@ -264,6 +265,9 @@ func (c Config) validate() error {
 	}
 	if c.MaxCandidates < 1 || c.MaxVenueSenses < 1 {
 		return errors.New("core: candidate caps must be >= 1")
+	}
+	if c.MaxCandidates > candidateIndexLimit {
+		return fmt.Errorf("core: MaxCandidates=%d exceeds the limit of %d (uint16 candidate indexes)", c.MaxCandidates, candidateIndexLimit)
 	}
 	if c.EMInterval < 0 {
 		return fmt.Errorf("core: EMInterval=%d must be positive (or zero for the default)", c.EMInterval)

@@ -204,9 +204,10 @@ func quantLog(lm float64) float64 {
 	return float64(int64(lm/logBinWidth+0.5)) * logBinWidth
 }
 
-// setAlpha starts a new α-epoch: pm is recomputed for the new exponent
-// and the epoch counter advances, invalidating every per-edge cache
-// lazily. Must not run concurrently with a sweep.
+// setAlpha starts a new α-epoch: pm, while the matrices are live, is
+// recomputed for the new exponent, and the epoch counter advances,
+// invalidating every per-edge cache lazily. Must not run concurrently
+// with a sweep.
 func (t *distTable) setAlpha(alpha float64) {
 	t.alpha = alpha
 	if t.pm != nil {

@@ -295,6 +295,42 @@ func TestUniverseMatricesLiveOnlyDuringFit(t *testing.T) {
 	}
 }
 
+// TestFinalEMRefitSkipsMatrixFill: a fit that ends on a Gibbs-EM sweep
+// releases the universe matrices before that sweep's refit, whose
+// α-epoch no sweep reads. Its last OnIteration sees no matrices while
+// every earlier call does, and the refit still starts the new α-epoch
+// that single lookups serve.
+func TestFinalEMRefitSkipsMatrixFill(t *testing.T) {
+	d, err := synth.Generate(synth.Config{Seed: 19, NumUsers: 150, NumLocations: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 6
+	var lastEpoch uint32
+	var lastAlpha float64
+	cfg := Config{Seed: 1, Iterations: iters, GibbsEM: true, EMInterval: 3}
+	cfg.OnIteration = func(it int, m *Model) {
+		live := m.dt.pm != nil && m.dt.qlog != nil && m.dt.uid != nil
+		if want := it < iters; live != want {
+			t.Errorf("sweep %d: universe matrices live=%v, want %v", it, live, want)
+		}
+		if it == iters-1 {
+			lastEpoch, lastAlpha = m.dt.epoch, m.alpha
+		}
+	}
+	m, err := Fit(&d.Corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.dt.epoch != lastEpoch+1 || m.alpha == lastAlpha || m.dt.alpha != m.alpha {
+		t.Errorf("final refit: epoch %d → %d, α %v → %v (table α %v), want a new epoch at the refitted α",
+			lastEpoch, m.dt.epoch, lastAlpha, m.alpha, m.dt.alpha)
+	}
+	if _, _, dense := m.DistTableStatus(); !dense {
+		t.Error("status stopped reporting the dense fit")
+	}
+}
+
 // TestDistTableAlphaEpochInvalidation: setAlpha must advance the epoch,
 // rewrite the pow matrix, and make per-edge caches rebuild their static
 // sums. It runs on the last iteration of a fit, while the matrices are

@@ -116,6 +116,9 @@ func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkCandidateLimit(cfg, c.Gaz); err != nil {
+		return nil, err
+	}
 	m := &Model{
 		cfg:    cfg,
 		corpus: c,
@@ -166,6 +169,12 @@ func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 		m.curIter = iter
 		m.sweep()
 		if cfg.GibbsEM && m.useF && iter%cfg.EMInterval == 0 {
+			if iter == cfg.Iterations && m.dt != nil {
+				// No sweep reads the final refit's α-epoch, so the
+				// matrices go first and its setAlpha only moves α and
+				// the epoch.
+				m.dt.release()
+			}
 			m.phase("em", m.refitPowerLaw)
 		}
 		m.iterationsRun = iter

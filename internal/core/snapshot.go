@@ -307,12 +307,12 @@ func decodeConfig(r *snapReader) Config {
 }
 
 // checkWorldFingerprint consumes the section hashes from r and compares
-// them against the corpus, so the mismatch error can say *what* differs
-// (a swapped gazetteer vs. an edited edge list). Handles and registered
-// strings are deliberately outside the fingerprint — they never enter
-// inference, so renaming a user must not invalidate a snapshot.
-func checkWorldFingerprint(c *dataset.Corpus, r *snapReader) error {
-	want := dataset.Fingerprint(c)
+// them against want, the corpus's dataset.Fingerprint, so the mismatch
+// error can say *what* differs (a swapped gazetteer vs. an edited edge
+// list). Handles and registered strings are deliberately outside the
+// fingerprint — they never enter inference, so renaming a user must not
+// invalidate a snapshot.
+func checkWorldFingerprint(want [dataset.NumFingerprintSections][sha256.Size]byte, r *snapReader) error {
 	for s := dataset.FingerprintSection(0); s < dataset.NumFingerprintSections; s++ {
 		var got [sha256.Size]byte
 		copy(got[:], r.take(sha256.Size))
@@ -498,6 +498,13 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(c, data)
+}
+
+// decodeSnapshot is DecodeSnapshot over the snapshot's bytes. The decoded
+// profile rows and latent assignments are copied out, so data is not
+// retained.
+func decodeSnapshot(c *dataset.Corpus, data []byte) (*Model, error) {
 	minLen := len(snapshotMagic) + 16 + int(dataset.NumFingerprintSections)*sha256.Size + sha256.Size
 	if len(data) < minLen {
 		return nil, fmt.Errorf("core: snapshot too short (%d bytes) — truncated or not a snapshot", len(data))
@@ -525,7 +532,7 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkWorldFingerprint(c, r); err != nil {
+	if err := checkWorldFingerprint(dataset.Fingerprint(c), r); err != nil {
 		return nil, err
 	}
 
@@ -534,6 +541,9 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 		return nil, r.err
 	}
 	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("core: snapshot config invalid: %w", err)
+	}
+	if err := checkCandidateLimit(cfg, c.Gaz); err != nil {
 		return nil, fmt.Errorf("core: snapshot config invalid: %w", err)
 	}
 
@@ -640,12 +650,11 @@ func LoadSnapshot(c *dataset.Corpus, path string) (*Model, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		return LoadShardedSnapshot(c, path)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	m, err := DecodeSnapshot(c, f)
+	m, err := decodeSnapshot(c, data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

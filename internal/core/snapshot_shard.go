@@ -78,8 +78,9 @@ func snapshotOwnership(c *dataset.Corpus, shards int) (users, edges, tweets [][]
 	return users, edges, tweets
 }
 
-// encodeShardSnapshot encodes shard s's slice of the model.
-func (m *Model) encodeShardSnapshot(s, shards int, users, edges, tweets []int32) []byte {
+// encodeShardSnapshot encodes shard s's slice of the model. fp is the
+// corpus's dataset.Fingerprint, hashed once for all slices.
+func (m *Model) encodeShardSnapshot(s, shards int, fp [dataset.NumFingerprintSections][sha256.Size]byte, users, edges, tweets []int32) []byte {
 	w := &snapWriter{}
 	w.buf.Write(snapshotMagic[:])
 	w.u32(SnapshotVersion)
@@ -87,7 +88,6 @@ func (m *Model) encodeShardSnapshot(s, shards int, users, edges, tweets []int32)
 	w.u32(uint32(s))
 	w.u32(uint32(shards))
 
-	fp := dataset.Fingerprint(m.corpus)
 	for _, h := range fp {
 		w.buf.Write(h[:])
 	}
@@ -219,9 +219,10 @@ func (m *Model) SaveShardedSnapshot(dir string) error {
 		return err
 	}
 	users, edges, tweets := snapshotOwnership(m.corpus, shards)
+	fp := dataset.Fingerprint(m.corpus)
 	man := snapshotManifest{Version: snapshotManifestVersion, ShardCount: shards}
 	for s := 0; s < shards; s++ {
-		data := m.encodeShardSnapshot(s, shards, users[s], edges[s], tweets[s])
+		data := m.encodeShardSnapshot(s, shards, fp, users[s], edges[s], tweets[s])
 		name := snapshotShardName(s)
 		if err := writeSnapshotFileAtomic(filepath.Join(dir, name), data); err != nil {
 			return err
@@ -318,6 +319,7 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 		return nil, err
 	}
 	users, edges, tweets := snapshotOwnership(c, man.ShardCount)
+	fp := dataset.Fingerprint(c)
 
 	var m *Model
 	var confRef []byte
@@ -360,7 +362,7 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 		if shardIndex != s || shardCount != man.ShardCount {
 			return nil, fmt.Errorf("core: %s: header says shard %d of %d, manifest says %d of %d", entry.Name, shardIndex, shardCount, s, man.ShardCount)
 		}
-		if err := checkWorldFingerprint(c, r); err != nil {
+		if err := checkWorldFingerprint(fp, r); err != nil {
 			return nil, err
 		}
 
@@ -375,6 +377,9 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 		conf := payload[confStart:r.off]
 		if m == nil {
 			if err := cfg.validate(); err != nil {
+				return nil, fmt.Errorf("core: snapshot config invalid: %w", err)
+			}
+			if err := checkCandidateLimit(cfg, c.Gaz); err != nil {
 				return nil, fmt.Errorf("core: snapshot config invalid: %w", err)
 			}
 			if cfg.Shards != man.ShardCount {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"mlprofile/internal/dataset"
@@ -156,9 +157,7 @@ func withRetiredSlots(t *testing.T, raw []byte, slots retiredSlots) []byte {
 	if slots.stale {
 		out[staleSlotOffset] = 1
 	}
-	sum := sha256.Sum256(out[:len(out)-sha256.Size])
-	copy(out[len(out)-sha256.Size:], sum[:])
-	return out
+	return reseal(out)
 }
 
 // withAlpha returns a copy of the snapshot file raw with α replaced and
@@ -166,9 +165,18 @@ func withRetiredSlots(t *testing.T, raw []byte, slots retiredSlots) []byte {
 func withAlpha(raw []byte, alpha float64) []byte {
 	out := bytes.Clone(raw)
 	binary.LittleEndian.PutUint64(out[snapshotAlphaOffset:], math.Float64bits(alpha))
-	sum := sha256.Sum256(out[:len(out)-sha256.Size])
-	copy(out[len(out)-sha256.Size:], sum[:])
-	return out
+	return reseal(out)
+}
+
+// reseal recomputes, in place, the trailing SHA-256 of the snapshot file
+// data over everything before it and returns data. Data shorter than a
+// checksum is returned unchanged.
+func reseal(data []byte) []byte {
+	if len(data) >= sha256.Size {
+		sum := sha256.Sum256(data[:len(data)-sha256.Size])
+		copy(data[len(data)-sha256.Size:], sum[:])
+	}
+	return data
 }
 
 // TestSnapshotRejectsBadAlpha: a snapshot whose α is positive, infinite
@@ -632,5 +640,51 @@ func TestLoadSnapshotShard(t *testing.T) {
 	}
 	if _, err := LoadSnapshotShard(&d.Corpus, dir, shards); err == nil {
 		t.Error("out-of-range shard index accepted")
+	}
+}
+
+// loadBench is the snapshot BenchmarkLoadSnapshot reads: a 10,000-user,
+// 1,000-city world (the serve-mixed size of bench/) fitted once per
+// process with two sweeps, since a load's cost hardly depends on how
+// long the chain ran.
+var loadBench struct {
+	once sync.Once
+	c    *dataset.Corpus
+	snap []byte
+	err  error
+}
+
+// BenchmarkLoadSnapshot times LoadSnapshot of a whole-model file: the
+// sized read, the checksum and fingerprint checks, candidacy and the
+// decode of the carried state.
+func BenchmarkLoadSnapshot(b *testing.B) {
+	loadBench.once.Do(func() {
+		d, err := synth.Generate(synth.Config{Seed: 5, NumUsers: 10000, NumLocations: 1000})
+		if err != nil {
+			loadBench.err = err
+			return
+		}
+		m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 2})
+		if err != nil {
+			loadBench.err = err
+			return
+		}
+		var buf bytes.Buffer
+		loadBench.err = m.EncodeSnapshot(&buf)
+		loadBench.c, loadBench.snap = &d.Corpus, buf.Bytes()
+	})
+	if loadBench.err != nil {
+		b.Fatal(loadBench.err)
+	}
+	path := filepath.Join(b.TempDir(), "model.mlp")
+	if err := os.WriteFile(path, loadBench.snap, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(loadBench.snap)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := LoadSnapshot(loadBench.c, path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package dataset
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"io"
 	"math"
 
 	"mlprofile/internal/gazetteer"
@@ -38,6 +37,10 @@ func (s FingerprintSection) String() string {
 	}
 }
 
+// fingerprintBufSize is how many bytes of encoded fields Fingerprint
+// gathers before it writes them to the section hash.
+const fingerprintBufSize = 32 << 10
+
 // Fingerprint hashes each model-relevant section of the corpus: gazetteer
 // geometry, venue vocabulary, user home labels, and both relationship
 // sets. Handles and raw registered strings are deliberately excluded —
@@ -48,55 +51,65 @@ func (s FingerprintSection) String() string {
 // the streamed and shard-merged load paths (stream_test.go).
 func Fingerprint(c *Corpus) [NumFingerprintSections][sha256.Size]byte {
 	var out [NumFingerprintSections][sha256.Size]byte
-	var b [8]byte
-	u64 := func(h io.Writer, v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	str := func(h io.Writer, s string) {
-		u64(h, uint64(len(s)))
-		io.WriteString(h, s)
-	}
-
+	// The fields are gathered in one buffer, so each section's hash sees
+	// the same bytes as with a Write per field, in a few large writes. A
+	// string longer than the buffer grows it.
 	h := sha256.New()
-	for _, city := range c.Gaz.Cities() {
-		str(h, city.Name)
-		str(h, city.State)
-		u64(h, math.Float64bits(city.Point.Lat))
-		u64(h, math.Float64bits(city.Point.Lon))
-		u64(h, uint64(city.Population))
+	buf := make([]byte, 0, fingerprintBufSize)
+	flush := func() {
+		h.Write(buf)
+		buf = buf[:0]
 	}
-	h.Sum(out[SectionGazetteer][:0])
-
-	h = sha256.New()
-	for v := 0; v < c.Venues.Len(); v++ {
-		venue := c.Venues.Venue(gazetteer.VenueID(v))
-		str(h, venue.Name)
-		u64(h, uint64(len(venue.Locations)))
-		for _, l := range venue.Locations {
-			u64(h, uint64(l))
+	u64 := func(v uint64) {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+		if len(buf) >= fingerprintBufSize {
+			flush()
 		}
 	}
-	h.Sum(out[SectionVenues][:0])
+	str := func(s string) {
+		u64(uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	sum := func(s FingerprintSection) {
+		flush()
+		h.Sum(out[s][:0])
+		h.Reset()
+	}
 
-	h = sha256.New()
+	for _, city := range c.Gaz.Cities() {
+		str(city.Name)
+		str(city.State)
+		u64(math.Float64bits(city.Point.Lat))
+		u64(math.Float64bits(city.Point.Lon))
+		u64(uint64(city.Population))
+	}
+	sum(SectionGazetteer)
+
+	for v := 0; v < c.Venues.Len(); v++ {
+		venue := c.Venues.Venue(gazetteer.VenueID(v))
+		str(venue.Name)
+		u64(uint64(len(venue.Locations)))
+		for _, l := range venue.Locations {
+			u64(uint64(l))
+		}
+	}
+	sum(SectionVenues)
+
 	for _, u := range c.Users {
-		u64(h, uint64(int64(u.Home)))
+		u64(uint64(int64(u.Home)))
 	}
-	h.Sum(out[SectionUsers][:0])
+	sum(SectionUsers)
 
-	h = sha256.New()
 	for _, e := range c.Edges {
-		u64(h, uint64(e.From))
-		u64(h, uint64(e.To))
+		u64(uint64(e.From))
+		u64(uint64(e.To))
 	}
-	h.Sum(out[SectionEdges][:0])
+	sum(SectionEdges)
 
-	h = sha256.New()
 	for _, t := range c.Tweets {
-		u64(h, uint64(t.User))
-		u64(h, uint64(t.Venue))
+		u64(uint64(t.User))
+		u64(uint64(t.Venue))
 	}
-	h.Sum(out[SectionTweets][:0])
+	sum(SectionTweets)
 	return out
 }
