@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"mlprofile/internal/dataset"
@@ -73,44 +74,99 @@ func buildCandidates(c *dataset.Corpus, cfg Config, useF, useT bool) *candidateS
 
 	ev := newEvidence(c, cfg.MaxVenueSenses, useF, useT)
 
-	// The rows go into two contiguous slabs in user order — the order the
-	// sweeps walk them — so the fill kernels' gather and prefix-sum loops
-	// stream stride-1 memory (the interleaved layout of DESIGN.md §14). A
-	// first pass over the evidence sizes the slabs exactly; full-capacity
-	// row slices keep any future append from clobbering a neighbor row.
+	// One pass across GOMAXPROCS: each worker takes a contiguous block of
+	// users with its own accumulator scratch and writes every user's
+	// sorted, truncated row into slabs local to its block. The blocks are
+	// then copied, in user order, into the two contiguous slabs the
+	// sweeps walk — stride-1 memory for the fill kernels' gather and
+	// prefix-sum loops (the interleaved layout of DESIGN.md §14). Every
+	// row depends on its user's evidence alone, so the slabs are
+	// identical for any block split.
+	nb := max(1, min(runtime.GOMAXPROCS(0), n))
+	blocks := make([]candBlock, nb)
+	rowEnd := make([]int, n) // each row's end within its block's slabs
+	forRows(nb, func(b int) {
+		blk := &blocks[b]
+		blk.lo, blk.hi = b*n/nb, (b+1)*n/nb
+		bound := 0
+		for u := blk.lo; u < blk.hi; u++ {
+			bound += ev.bound(u, cfg.MaxCandidates)
+		}
+		blk.cand = make([]gazetteer.CityID, 0, bound)
+		blk.gamma = make([]float64, 0, bound)
+		sc := ev.scratch()
+		for u := blk.lo; u < blk.hi; u++ {
+			home := c.Users[u].Home
+			list := sc.user(u)
+			slices.SortFunc(list, byEvidence)
+			if len(list) > cfg.MaxCandidates {
+				// Never evict the observed home when truncating.
+				list = list[:cfg.MaxCandidates]
+				if home != dataset.NoCity && !slices.ContainsFunc(list, func(e cityWeight) bool { return e.l == home }) {
+					list[len(list)-1] = cityWeight{home, 0.5}
+				}
+			}
+			sum := 0.0
+			for _, e := range list {
+				g := cfg.Tau
+				if e.l == home {
+					g += cfg.GammaBoost
+				}
+				blk.cand = append(blk.cand, e.l)
+				blk.gamma = append(blk.gamma, g)
+				sum += g
+			}
+			rowEnd[u] = len(blk.cand)
+			cs.gammaSum[u] = sum
+		}
+	})
 	total := 0
-	for u := range c.Users {
-		total += min(len(ev.user(u)), cfg.MaxCandidates)
+	for _, blk := range blocks {
+		total += len(blk.cand)
 	}
-	candSlab := make([]gazetteer.CityID, 0, total)
-	gammaSlab := make([]float64, 0, total)
-	for u := range c.Users {
-		home := c.Users[u].Home
-		list := ev.user(u)
-		slices.SortFunc(list, byEvidence)
-		if len(list) > cfg.MaxCandidates {
-			// Never evict the observed home when truncating.
-			list = list[:cfg.MaxCandidates]
-			if home != dataset.NoCity && !slices.ContainsFunc(list, func(e cityWeight) bool { return e.l == home }) {
-				list[len(list)-1] = cityWeight{home, 0.5}
-			}
+	candSlab := make([]gazetteer.CityID, total)
+	gammaSlab := make([]float64, total)
+	off := 0
+	for _, blk := range blocks {
+		copy(candSlab[off:], blk.cand)
+		copy(gammaSlab[off:], blk.gamma)
+		// Full-capacity row slices keep any future append from
+		// clobbering a neighbor row.
+		start := off
+		for u := blk.lo; u < blk.hi; u++ {
+			end := off + rowEnd[u]
+			cs.cand[u] = candSlab[start:end:end]
+			cs.gamma[u] = gammaSlab[start:end:end]
+			start = end
 		}
-		b := len(candSlab)
-		sum := 0.0
-		for _, e := range list {
-			g := cfg.Tau
-			if e.l == home {
-				g += cfg.GammaBoost
-			}
-			candSlab = append(candSlab, e.l)
-			gammaSlab = append(gammaSlab, g)
-			sum += g
-		}
-		cs.cand[u] = candSlab[b:len(candSlab):len(candSlab)]
-		cs.gamma[u] = gammaSlab[b:len(gammaSlab):len(gammaSlab)]
-		cs.gammaSum[u] = sum
+		off += len(blk.cand)
 	}
 	return cs
+}
+
+// candBlock is one worker's contiguous block of users [lo, hi) in
+// buildCandidates and its rows, back to back in user order.
+type candBlock struct {
+	lo, hi int
+	cand   []gazetteer.CityID
+	gamma  []float64
+}
+
+// candidacyKey holds every Config field buildCandidates reads, as the
+// model's config holds them (defaulted by Fit, decoded by a load): two
+// loads over interchangeable corpora with equal keys build the same
+// candidacy. Config.validate refuses NaN in Tau and GammaBoost, so ==
+// on the key is value equality.
+type candidacyKey struct {
+	variant       Variant
+	allLocations  bool
+	maxCandidates int
+	maxSenses     int
+	tau, boost    float64
+}
+
+func candidacyKeyOf(cfg Config) candidacyKey {
+	return candidacyKey{cfg.Variant, cfg.AllLocationCandidates, cfg.MaxCandidates, cfg.MaxVenueSenses, cfg.Tau, cfg.GammaBoost}
 }
 
 // cityWeight is one city of a user's evidence and its summed weight.
@@ -132,12 +188,12 @@ func byEvidence(a, b cityWeight) int {
 	return cmp.Compare(a.l, b.l)
 }
 
-// evidence sums each user's candidacy evidence per city. The labeled
-// neighbor homes of a user's edges and the venues of the user's tweets
-// sit in per-user lists in corpus order, so a user's per-city sums take
-// the same additions in the same order — edges, then tweets, each in
-// corpus order — as one pass over all edges and then all tweets would
-// give them.
+// evidence holds each user's candidacy evidence, read-only once built:
+// the labeled neighbor homes of a user's edges and the venues of the
+// user's tweets sit in per-user lists in corpus order, so a user's
+// per-city sums take the same additions in the same order — edges, then
+// tweets, each in corpus order — as one pass over all edges and then all
+// tweets would give them.
 type evidence struct {
 	c         *dataset.Corpus
 	maxSenses int
@@ -146,14 +202,6 @@ type evidence struct {
 	nbrOff, tweetOff []int
 	nbrHome          []gazetteer.CityID
 	tweetVenue       []gazetteer.VenueID
-
-	// acc is the per-city sum of the user being read, all zero between
-	// users: every bump is positive, so zero means untouched. touched
-	// lists the cities bumped, first touch first, and list is the
-	// (city, weight) buffer user returns.
-	acc     []float64
-	touched []gazetteer.CityID
-	list    []cityWeight
 }
 
 func newEvidence(c *dataset.Corpus, maxSenses int, useF, useT bool) *evidence {
@@ -162,7 +210,6 @@ func newEvidence(c *dataset.Corpus, maxSenses int, useF, useT bool) *evidence {
 		c:         c,
 		maxSenses: maxSenses,
 		fallback:  topLabeledHomes(c, 10),
-		acc:       make([]float64, c.Gaz.Len()),
 	}
 	ev.nbrOff, ev.nbrHome = groupByUser(n, func(emit func(dataset.UserID, gazetteer.CityID)) {
 		if !useF {
@@ -207,25 +254,53 @@ func groupByUser[T any](n int, each func(emit func(dataset.UserID, T))) (off []i
 	return off, vals
 }
 
+// bound caps the length of user u's candidate row: at most limit, and
+// at most one city per labeled neighbor, maxSenses per tweet and the
+// observed home, or the fallback list when there is none of those. The
+// division keeps the product from overflowing at any maxSenses.
+func (ev *evidence) bound(u, limit int) int {
+	k := max(ev.nbrOff[u+1]-ev.nbrOff[u]+1, len(ev.fallback))
+	if tweets := ev.tweetOff[u+1] - ev.tweetOff[u]; k < limit && tweets <= (limit-k)/ev.maxSenses {
+		return k + tweets*ev.maxSenses
+	}
+	return limit
+}
+
+// evidenceScratch is one worker's view of the evidence. acc is the
+// per-city sum of the user being read, all zero between users: every
+// bump is positive, so zero means untouched. touched lists the cities
+// bumped, first touch first, and list is the (city, weight) buffer user
+// returns.
+type evidenceScratch struct {
+	*evidence
+	acc     []float64
+	touched []gazetteer.CityID
+	list    []cityWeight
+}
+
+func (ev *evidence) scratch() *evidenceScratch {
+	return &evidenceScratch{evidence: ev, acc: make([]float64, ev.c.Gaz.Len())}
+}
+
 // user returns user u's evidence, unsorted, in a buffer the next call
 // reuses. An observed home nothing else touched enters at 0.5,
 // guaranteeing its candidacy; a user with no evidence and no home gets
 // the fallback homes at 0.1 each.
-func (ev *evidence) user(u int) []cityWeight {
-	acc, touched := ev.acc, ev.touched[:0]
+func (sc *evidenceScratch) user(u int) []cityWeight {
+	acc, touched := sc.acc, sc.touched[:0]
 	bump := func(l gazetteer.CityID, w float64) {
 		if acc[l] == 0 {
 			touched = append(touched, l)
 		}
 		acc[l] += w
 	}
-	for _, h := range ev.nbrHome[ev.nbrOff[u]:ev.nbrOff[u+1]] {
+	for _, h := range sc.nbrHome[sc.nbrOff[u]:sc.nbrOff[u+1]] {
 		bump(h, 1)
 	}
-	for _, v := range ev.tweetVenue[ev.tweetOff[u]:ev.tweetOff[u+1]] {
-		senses := ev.c.Venues.Venue(v).Locations
-		if len(senses) > ev.maxSenses {
-			senses = senses[:ev.maxSenses]
+	for _, v := range sc.tweetVenue[sc.tweetOff[u]:sc.tweetOff[u+1]] {
+		senses := sc.c.Venues.Venue(v).Locations
+		if len(senses) > sc.maxSenses {
+			senses = senses[:sc.maxSenses]
 		}
 		for rank, l := range senses {
 			// Population-ranked senses: the default sense gets full
@@ -233,8 +308,8 @@ func (ev *evidence) user(u int) []cityWeight {
 			bump(l, 1/float64(rank+1))
 		}
 	}
-	list := ev.list[:0]
-	if home := ev.c.Users[u].Home; home != dataset.NoCity && acc[home] == 0 {
+	list := sc.list[:0]
+	if home := sc.c.Users[u].Home; home != dataset.NoCity && acc[home] == 0 {
 		list = append(list, cityWeight{home, 0.5})
 	}
 	for _, l := range touched {
@@ -242,11 +317,11 @@ func (ev *evidence) user(u int) []cityWeight {
 		acc[l] = 0
 	}
 	if len(list) == 0 {
-		for _, l := range ev.fallback {
+		for _, l := range sc.fallback {
 			list = append(list, cityWeight{l, 0.1})
 		}
 	}
-	ev.touched, ev.list = touched, list
+	sc.touched, sc.list = touched, list
 	return list
 }
 

@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // DistTableMode selects how the sampler evaluates the relationship
@@ -239,6 +240,19 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
+	// Every range check below is a comparison, and each is false for
+	// NaN, so non-finite values are refused first, by name.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"RhoF", c.RhoF}, {"RhoT", c.RhoT}, {"Alpha", c.Alpha}, {"Beta", c.Beta},
+		{"Tau", c.Tau}, {"GammaBoost", c.GammaBoost}, {"Delta", c.Delta},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s=%v must be finite", f.name, f.v)
+		}
+	}
 	if c.Iterations < 1 {
 		return errors.New("core: Iterations must be >= 1")
 	}

@@ -190,6 +190,36 @@ func TestFitConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesNonFinite: every float hyperparameter must be
+// finite. The range checks are comparisons, all false for NaN, so a NaN
+// Tau used to pass validation and panic in initState, and a NaN Delta
+// or RhoF fitted without error. The error names the field.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	if err := (Config{}).withDefaults().validate(); err != nil {
+		t.Fatalf("default config refused: %v", err)
+	}
+	for _, f := range []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"RhoF", func(c *Config, v float64) { c.RhoF = v }},
+		{"RhoT", func(c *Config, v float64) { c.RhoT = v }},
+		{"Alpha", func(c *Config, v float64) { c.Alpha = v }},
+		{"Beta", func(c *Config, v float64) { c.Beta = v }},
+		{"Tau", func(c *Config, v float64) { c.Tau = v }},
+		{"GammaBoost", func(c *Config, v float64) { c.GammaBoost = v }},
+		{"Delta", func(c *Config, v float64) { c.Delta = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{}.withDefaults()
+			f.set(&cfg, v)
+			if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), f.name+"=") {
+				t.Errorf("%s=%v: error %v, want one naming the field", f.name, v, err)
+			}
+		}
+	}
+}
+
 func TestFitRejectsEmptyVariantData(t *testing.T) {
 	d := testWorld(t, 1)
 	c := d.Corpus

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
 	"math/rand"
 
@@ -40,8 +41,14 @@ type Model struct {
 	// between barriers (see phase.go). Nil until the first phase.
 	phaseSec map[string]float64
 
-	// Candidacy and priors.
+	// Candidacy and priors. Read-only once built, so models loaded over
+	// interchangeable corpora may share one (ReloadSnapshot).
 	cands *candidateSet
+	// world is the corpus fingerprint a single-file snapshot load
+	// verified; nil on fitted models and on directory loads.
+	// ReloadSnapshot shares cands only with a later load that verifies
+	// the same fingerprint.
+	world *[dataset.NumFingerprintSections][sha256.Size]byte
 
 	// Collapsed profile counts ϕ_i (per user, indexed like cands.cand[u]).
 	phi    [][]float64

@@ -27,11 +27,12 @@ import (
 //
 // Everything else (candidacy vectors, priors γ, the random models F_R/T_R,
 // the distance table, trigonometry) is rebuilt from the corpus on load via
-// the same deterministic code paths Fit uses, so a loaded model answers
-// every read — Profile/TopK, VenueProbability, MAPExplainEdge,
-// ExplainEdge/ExplainTweet, NoiseStats — bit-for-bit identically to the
-// in-process model that wrote the snapshot (snapshot_test.go locks this
-// across the determinism matrix).
+// the same deterministic code paths Fit uses (a reload may instead share
+// the candidacy of the model it replaces; see ReloadSnapshot), so a
+// loaded model answers every read — Profile/TopK, VenueProbability,
+// MAPExplainEdge, ExplainEdge/ExplainTweet, NoiseStats — bit-for-bit
+// identically to the in-process model that wrote the snapshot
+// (snapshot_test.go locks this across the determinism matrix).
 //
 // Loaded models are read-only: no sweep state (RNG streams, scratch
 // arenas, the ϕ+γ and ψ̂-reciprocal mirrors) is reconstructed, and none
@@ -234,6 +235,24 @@ func (r *snapReader) f64s() []float64 {
 	return out
 }
 
+// f64sInto reads a length-prefixed float64 slice into dst and returns
+// the decoded length. When that differs from len(dst) it reads no
+// elements, leaving the caller to report the mismatch.
+func (r *snapReader) f64sInto(dst []float64) int {
+	n := r.length(8)
+	if n != len(dst) {
+		return n
+	}
+	raw := r.take(8 * n)
+	if raw == nil {
+		return n
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return n
+}
+
 // retiredConfigSlot fills the three integer config slots whose knobs no
 // longer exist: the venue-count layout and the draw pipeline (both "on"
 // = 1) and the Workers sweep's goroutine count (1, the sequential chain
@@ -325,9 +344,12 @@ func checkWorldFingerprint(want [dataset.NumFingerprintSections][sha256.Size]byt
 
 // newSnapshotModel builds the deterministic, corpus-derived part of a
 // loaded model: distance machinery, candidacy vectors and priors, and an
-// empty venue-count store. The caller scatters the snapshot-carried
-// state (ϕ, latent assignments, venue triples) into it.
-func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters int) *Model {
+// empty venue-count store. cands, when not nil, is a candidacy another
+// loaded model built for an interchangeable corpus under the same
+// candidacyKey (see reusableCandidacy); nil builds it. The caller
+// scatters the snapshot-carried state (ϕ, latent assignments, venue
+// triples) into the model.
+func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters int, cands *candidateSet) *Model {
 	m := &Model{
 		cfg:    cfg,
 		corpus: c,
@@ -343,7 +365,10 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 
 	// Candidacy vectors and priors are deterministic in (corpus, config);
 	// rebuilding reproduces the exact γ the counts were accumulated under.
-	m.cands = buildCandidates(c, cfg, m.useF, m.useT)
+	m.cands = cands
+	if m.cands == nil {
+		m.cands = buildCandidates(c, cfg, m.useF, m.useT)
+	}
 
 	// The distance table serves MAPExplainEdge's d^α exactly as the
 	// fitted model does after Fit: single lookups at the final exponent,
@@ -361,15 +386,17 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 }
 
 // addVenueTriple folds one decoded (venue, city, count) triple into the
-// venue-count store, validating range and integrality. venueSum is the
-// per-city total of integer-valued counts, so summing reproduces the
-// fitted model's incrementally maintained value exactly.
+// venue-count store, validating range and integrality: a count counts
+// tweets, so it is an integer in [1, len(Tweets)]. The comparisons
+// refuse NaN and ±Inf too. venueSum is the per-city total of
+// integer-valued counts, so summing reproduces the fitted model's
+// incrementally maintained value exactly.
 func (m *Model) addVenueTriple(v, l int, cnt float64) error {
 	if v >= m.numVenues || l >= m.corpus.Gaz.Len() {
 		return fmt.Errorf("core: snapshot venue count (%d, %d) out of range", v, l)
 	}
-	if cnt <= 0 || cnt != math.Trunc(cnt) {
-		return fmt.Errorf("core: snapshot venue count (%d, %d) = %v is not a positive integer", v, l, cnt)
+	if tweets := float64(len(m.corpus.Tweets)); !(cnt >= 1 && cnt <= tweets) || cnt != math.Trunc(cnt) {
+		return fmt.Errorf("core: snapshot venue count (%d, %d) = %v is not an integer in [1, %d]", v, l, cnt, len(m.corpus.Tweets))
 	}
 	m.ps.add(gazetteer.VenueID(v), gazetteer.CityID(l), cnt)
 	m.venueSum[l] += cnt
@@ -498,13 +525,16 @@ func DecodeSnapshot(c *dataset.Corpus, rd io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeSnapshot(c, data)
+	return decodeSnapshot(c, data, nil)
 }
 
-// decodeSnapshot is DecodeSnapshot over the snapshot's bytes. The decoded
-// profile rows and latent assignments are copied out, so data is not
-// retained.
-func decodeSnapshot(c *dataset.Corpus, data []byte) (*Model, error) {
+// decodeSnapshot is DecodeSnapshot over the snapshot's bytes, with the
+// candidacy of prev, a model loaded earlier, reused when it fits (see
+// ReloadSnapshot); prev may be nil. Every check runs whatever prev is,
+// and prev is consulted only once the header has passed them. The
+// decoded profile rows and latent assignments are copied out, so data is
+// not retained.
+func decodeSnapshot(c *dataset.Corpus, data []byte, prev *Model) (*Model, error) {
 	minLen := len(snapshotMagic) + 16 + int(dataset.NumFingerprintSections)*sha256.Size + sha256.Size
 	if len(data) < minLen {
 		return nil, fmt.Errorf("core: snapshot too short (%d bytes) — truncated or not a snapshot", len(data))
@@ -532,7 +562,8 @@ func decodeSnapshot(c *dataset.Corpus, data []byte) (*Model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkWorldFingerprint(dataset.Fingerprint(c), r); err != nil {
+	world := dataset.Fingerprint(c)
+	if err := checkWorldFingerprint(world, r); err != nil {
 		return nil, err
 	}
 
@@ -556,22 +587,24 @@ func decodeSnapshot(c *dataset.Corpus, data []byte) (*Model, error) {
 	if err := checkSnapshotAlpha(alpha); err != nil {
 		return nil, err
 	}
-	m := newSnapshotModel(c, cfg, alpha, beta, iters)
+	m := newSnapshotModel(c, cfg, alpha, beta, iters, reusableCandidacy(prev, world, cfg))
+	m.world = &world
 
 	n := len(c.Users)
 	if got := int(r.u32()); r.err == nil && got != n {
 		return nil, fmt.Errorf("core: snapshot has %d profile rows for %d users", got, n)
 	}
-	m.phi = make([][]float64, n)
-	for u := 0; u < n; u++ {
-		row := r.f64s()
+	// The rows land in one slab sized by the candidacy, each checked
+	// against its user's candidate count before it is read.
+	m.phi = slabRows(m.cands.cand)
+	for u, row := range m.phi {
+		got := r.f64sInto(row)
 		if r.err != nil {
 			return nil, r.err
 		}
-		if len(row) != len(m.cands.cand[u]) {
-			return nil, fmt.Errorf("core: snapshot profile row %d has %d counts for %d candidates", u, len(row), len(m.cands.cand[u]))
+		if got != len(row) {
+			return nil, fmt.Errorf("core: snapshot profile row %d has %d counts for %d candidates", u, got, len(row))
 		}
-		m.phi[u] = row
 	}
 	m.phiSum = r.f64s()
 	if r.err == nil && len(m.phiSum) != n {
@@ -647,6 +680,21 @@ func decodeSnapshot(c *dataset.Corpus, data []byte) (*Model, error) {
 // or SaveShardedSnapshot (a directory; routed to LoadShardedSnapshot)
 // and reconstructs the fitted model against the given corpus.
 func LoadSnapshot(c *dataset.Corpus, path string) (*Model, error) {
+	return ReloadSnapshot(c, path, nil)
+}
+
+// ReloadSnapshot is LoadSnapshot for a model that replaces prev, the
+// model a server is serving (nil for a first load). A single-file
+// snapshot runs every check LoadSnapshot runs — trailer checksum,
+// version, corpus validation, a freshly computed world fingerprint,
+// config, candidate limit, α, row lengths and assignment ranges — and
+// then shares prev's read-only candidacy instead of rebuilding it when
+// prev was itself loaded from a snapshot over a corpus with the same
+// fingerprint and under the same candidacyKey. Candidacy is a function
+// of exactly those, so the model is the one LoadSnapshot returns, bit
+// for bit. A fitted prev recorded no fingerprint and is never shared
+// from; a directory loads as LoadSnapshot loads it.
+func ReloadSnapshot(c *dataset.Corpus, path string, prev *Model) (*Model, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		return LoadShardedSnapshot(c, path)
 	}
@@ -654,9 +702,22 @@ func LoadSnapshot(c *dataset.Corpus, path string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := decodeSnapshot(c, data)
+	m, err := decodeSnapshot(c, data, prev)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
+}
+
+// reusableCandidacy returns prev's candidacy when a load over a corpus
+// with fingerprint world under cfg would build the same one: prev was
+// loaded over a corpus with that fingerprint (dataset.Fingerprint's
+// contract: equal fingerprints make corpora interchangeable for the
+// model, and its sections hold everything candidacy reads) and built
+// its candidacy under the same candidacyKey. Otherwise it returns nil.
+func reusableCandidacy(prev *Model, world [dataset.NumFingerprintSections][sha256.Size]byte, cfg Config) *candidateSet {
+	if prev == nil || prev.world == nil || *prev.world != world || candidacyKeyOf(prev.cfg) != candidacyKeyOf(cfg) {
+		return nil
+	}
+	return prev.cands
 }

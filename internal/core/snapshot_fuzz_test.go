@@ -14,11 +14,16 @@ import (
 // model it accepts must re-encode to bytes that decode and re-encode to
 // themselves. The input itself need not survive the round trip: retired
 // config slots are read and ignored, and venue triples may arrive
-// unsorted or split. The seeds are the world's own snapshot and the
-// corrupted and forged variants of TestSnapshotRejectsCorruption and
-// TestSnapshotRejectsBadAlpha. The world is kept small (a 2 KB
-// snapshot) because the fuzzer minimizes every new input byte by byte.
-// Run it with
+// unsorted or split. Each input is decoded a second time with the
+// world's loaded model as prev, the reload path that shares candidacy
+// when the fingerprint and candidacy key match: it must reach the same
+// verdict, and an accepted model must re-encode to the same bytes. The
+// seeds are the world's own snapshot, the corrupted and forged variants
+// of TestSnapshotRejectsCorruption and TestSnapshotRejectsBadAlpha, and
+// under testdata/fuzz the venue counts of +Inf and len(Tweets)+1 that
+// TestSnapshotRejectsBadVenueCount refuses. The world is kept small (a
+// 2 KB snapshot) because the fuzzer minimizes every new input byte by
+// byte. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 30s ./internal/core
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -36,7 +41,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := DecodeSnapshot(c, bytes.NewReader(raw)); err != nil {
+	prev, err := DecodeSnapshot(c, bytes.NewReader(raw))
+	if err != nil {
 		f.Fatalf("the fitted world's own snapshot is refused: %v", err)
 	}
 
@@ -53,13 +59,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeSnapshot(c, bytes.NewReader(reseal(bytes.Clone(data))))
+		data = reseal(bytes.Clone(data))
+		m, err := DecodeSnapshot(c, bytes.NewReader(data))
+		reloaded, rerr := decodeSnapshot(c, data, prev)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("fresh decode error %v, decode with prev error %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
-		var first bytes.Buffer
+		var first, shared bytes.Buffer
 		if err := m.EncodeSnapshot(&first); err != nil {
 			t.Fatal(err)
+		}
+		if err := reloaded.EncodeSnapshot(&shared); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), shared.Bytes()) {
+			t.Fatal("decoding with prev re-encodes to other bytes than a fresh decode")
 		}
 		again, err := DecodeSnapshot(c, bytes.NewReader(first.Bytes()))
 		if err != nil {

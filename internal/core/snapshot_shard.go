@@ -388,7 +388,7 @@ func loadShardedSnapshot(c *dataset.Corpus, dir string, only int) (*Model, error
 			if err := checkSnapshotAlpha(alpha); err != nil {
 				return nil, err
 			}
-			m = newSnapshotModel(c, cfg, alpha, beta, iters)
+			m = newSnapshotModel(c, cfg, alpha, beta, iters, nil)
 			m.phi = make([][]float64, len(c.Users))
 			m.phiSum = make([]float64, len(c.Users))
 			if m.useF {

@@ -101,6 +101,9 @@ var (
 	retiredSlotsOffset  = configOffset + 14*8 + 1 + 2*8 + 1 + 8
 	staleSlotOffset     = retiredSlotsOffset + 2*8 + 3 + 8
 	snapshotAlphaOffset = staleSlotOffset + 1
+	// Tau follows Seed, Variant, Iterations, the Workers slot, RhoF,
+	// RhoT, NoiseBurnIn, Alpha and Beta.
+	tauSlotOffset = configOffset + 9*8
 )
 
 // retiredSlots holds the four retired config slots: the venue-count
@@ -223,6 +226,99 @@ func TestSnapshotRejectsBadAlpha(t *testing.T) {
 		}
 		if _, err := LoadSnapshot(&d.Corpus, dir); !errors.Is(err, ErrSnapshotAlpha) {
 			t.Errorf("sharded directory with α=%v: error %v, want ErrSnapshotAlpha", bad, err)
+		}
+	}
+}
+
+// TestSnapshotRejectsNonFiniteTau: Config.validate refuses a NaN or
+// infinite Tau, which would make every candidate prior NaN, so a
+// snapshot whose Tau slot holds one — checksums recomputed — is refused
+// as an invalid config naming the field, by the whole-model decoder and
+// by the sharded loaders.
+func TestSnapshotRejectsNonFiniteTau(t *testing.T) {
+	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 150, NumLocations: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[tauSlotOffset:])); got != m.Config().Tau {
+		t.Fatalf("Tau at byte %d reads %v, want the fitted %v", tauSlotOffset, got, m.Config().Tau)
+	}
+	withTau := func(data []byte, tau float64) []byte {
+		out := bytes.Clone(data)
+		binary.LittleEndian.PutUint64(out[tauSlotOffset:], math.Float64bits(tau))
+		return reseal(out)
+	}
+	sharded, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "snapshot config invalid") || !strings.Contains(err.Error(), "Tau") {
+			t.Errorf("%s: error %v, want an invalid config naming Tau", what, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withTau(raw, bad)))
+		refused(fmt.Sprintf("whole-model snapshot with Tau=%v", bad), err)
+		dir := filepath.Join(t.TempDir(), "snap")
+		if err := sharded.SaveShardedSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		rewriteSnapshotDir(t, dir, func(data []byte) []byte { return withTau(data, bad) })
+		_, err = LoadSnapshotShard(&d.Corpus, dir, 1)
+		refused(fmt.Sprintf("shard slice with Tau=%v", bad), err)
+		_, err = LoadSnapshot(&d.Corpus, dir)
+		refused(fmt.Sprintf("sharded directory with Tau=%v", bad), err)
+	}
+}
+
+// withLastVenueCount returns a resealed copy of a whole-model snapshot
+// whose last venue-count triple — the last 8 bytes before the trailer —
+// holds cnt.
+func withLastVenueCount(raw []byte, cnt float64) []byte {
+	out := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(out[len(out)-sha256.Size-8:], math.Float64bits(cnt))
+	return reseal(out)
+}
+
+// TestSnapshotRejectsBadVenueCount: a venue count counts tweets, so the
+// decoders accept only integers in [1, len(Tweets)]. +Inf used to pass
+// (math.Trunc(+Inf) is +Inf) and made ψ̂ read NaN.
+func TestSnapshotRejectsBadVenueCount(t *testing.T) {
+	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 150, NumLocations: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[len(raw)-sha256.Size-8:])); got < 1 || got != math.Trunc(got) {
+		t.Fatalf("last venue count reads %v, want a positive integer", got)
+	}
+	K := float64(len(d.Corpus.Tweets))
+	if _, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withLastVenueCount(raw, K))); err != nil {
+		t.Errorf("a count of len(Tweets) = %v refused: %v", K, err)
+	}
+	for _, bad := range []float64{math.Inf(1), K + 1, math.NaN(), math.Inf(-1), 0, -1, 1.5} {
+		_, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withLastVenueCount(raw, bad)))
+		if err == nil || !strings.Contains(err.Error(), "venue count") {
+			t.Errorf("venue count %v: error %v, want a venue count refusal", bad, err)
 		}
 	}
 }
@@ -654,10 +750,10 @@ var loadBench struct {
 	err  error
 }
 
-// BenchmarkLoadSnapshot times LoadSnapshot of a whole-model file: the
-// sized read, the checksum and fingerprint checks, candidacy and the
-// decode of the carried state.
-func BenchmarkLoadSnapshot(b *testing.B) {
+// loadBenchFile writes loadBench's snapshot into a temporary file,
+// fitting it on first use, and returns its path.
+func loadBenchFile(b *testing.B) string {
+	b.Helper()
 	loadBench.once.Do(func() {
 		d, err := synth.Generate(synth.Config{Seed: 5, NumUsers: 10000, NumLocations: 1000})
 		if err != nil {
@@ -682,8 +778,32 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 	}
 	b.SetBytes(int64(len(loadBench.snap)))
 	b.ReportAllocs()
+	return path
+}
+
+// BenchmarkLoadSnapshot times LoadSnapshot of a whole-model file: the
+// sized read, the checksum and fingerprint checks, candidacy and the
+// decode of the carried state.
+func BenchmarkLoadSnapshot(b *testing.B) {
+	path := loadBenchFile(b)
 	for b.Loop() {
 		if _, err := LoadSnapshot(loadBench.c, path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReloadSnapshot times what POST /reload pays on the same
+// world: ReloadSnapshot of the file with the model it replaces as prev,
+// so every check runs and candidacy is shared instead of rebuilt.
+func BenchmarkReloadSnapshot(b *testing.B) {
+	path := loadBenchFile(b)
+	prev, err := LoadSnapshot(loadBench.c, path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if prev, err = ReloadSnapshot(loadBench.c, path, prev); err != nil {
 			b.Fatal(err)
 		}
 	}

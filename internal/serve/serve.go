@@ -197,9 +197,12 @@ func (s *Server) Generation() uint64 { return s.state().generation }
 // Reload re-reads the configured snapshot path, verifies it against the
 // held corpus (LoadSnapshot's world fingerprint check — a snapshot of a
 // different world is refused and the serving model is untouched), and
-// atomically swaps it in with a fresh readout cache. Concurrent readers
-// keep serving the old generation until the swap lands; they never
-// block on the load.
+// atomically swaps it in with a fresh readout cache. A full server hands
+// core.ReloadSnapshot the model it is serving, whose read-only candidacy
+// the new model shares when the load verified the same corpus
+// fingerprint under the same candidacy config. Concurrent readers keep
+// serving the old generation until the swap lands; they never block on
+// the load.
 func (s *Server) Reload() (uint64, error) {
 	if s.cfg.Snapshot == "" {
 		return 0, errors.New("serve: no snapshot path configured for reload")
@@ -213,7 +216,7 @@ func (s *Server) Reload() (uint64, error) {
 	if s.partial() {
 		m, err = core.LoadSnapshotShard(s.corpus, s.cfg.Snapshot, s.cfg.Shard)
 	} else {
-		m, err = core.LoadSnapshot(s.corpus, s.cfg.Snapshot)
+		m, err = core.ReloadSnapshot(s.corpus, s.cfg.Snapshot, s.state().model)
 	}
 	if err != nil {
 		return 0, err
