@@ -283,22 +283,9 @@ func BenchmarkAblationBlockedSampler(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-// benchDistModes is the DistTable axis of the sampler benchmarks: the
-// exact reference path vs the quantized distance table (the default).
-var benchDistModes = []struct {
-	name string
-	mode core.DistTableMode
-}{
-	{"exact", core.DistTableOff},
-	{"table", core.DistTableOn},
-}
-
 // BenchmarkGibbsSweep measures raw sampler throughput: relationships
-// resampled per second on the bench world, across the execution matrix —
-// per-variable vs blocked edge kernel, exact vs distance-table d^α, on
-// the sequential chain. The table/exact ratio on one kernel is the
-// distance-table speedup, and the blocked/exact leg at the default
-// MaxCandidates=40 is the O(|cand|²) wall the ROADMAP called unusable.
+// resampled per second on the bench world, per-variable vs blocked edge
+// kernel on the sequential chain.
 func BenchmarkGibbsSweep(b *testing.B) {
 	d, test := ablationSetup(b)
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
@@ -307,31 +294,31 @@ func BenchmarkGibbsSweep(b *testing.B) {
 		name    string
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
-		for _, dist := range benchDistModes {
-			// "/workers=1" keeps the names cmd/mlpbench's cells share.
-			name := fmt.Sprintf("kernel=%s/dist=%s/workers=1", kernel.name, dist.name)
-			b.Run(name, func(b *testing.B) {
-				// 8 sweeps per fit and a reduced init pair sample, so
-				// the op measures sweep throughput rather than the
-				// per-fit setup; cmd/mlpbench separates the two exactly.
-				const sweeps = 8
-				for i := 0; i < b.N; i++ {
-					cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1, EMPairSample: 20000,
-						BlockedSampler: kernel.blocked, DistTable: dist.mode}
-					if _, err := core.Fit(c, cfg); err != nil {
-						b.Fatal(err)
-					}
+		// "dist=table/workers=1" keeps the names cmd/mlpbench's cells
+		// share, from when distance mode and workers were axes.
+		name := fmt.Sprintf("kernel=%s/dist=table/workers=1", kernel.name)
+		b.Run(name, func(b *testing.B) {
+			// 8 sweeps per fit and a reduced init pair sample, so the op
+			// measures sweep throughput rather than the per-fit setup;
+			// cmd/mlpbench separates the two exactly.
+			const sweeps = 8
+			for i := 0; i < b.N; i++ {
+				cfg := core.Config{Seed: int64(i), Iterations: sweeps, NoiseBurnIn: 1, EMPairSample: 20000,
+					BlockedSampler: kernel.blocked}
+				if _, err := core.Fit(c, cfg); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(rels*sweeps*b.N)/b.Elapsed().Seconds(), "rels/s")
+		})
 	}
 }
 
-// benchEdgeKernel isolates the edge kernel: a FollowingOnly fit on the
-// bench world (no tweet phase), several sweeps so the per-fit setup
-// (gazetteer table build, candidates, init) amortizes.
-func benchEdgeKernel(b *testing.B, mode core.DistTableMode) {
+// BenchmarkEdgeKernelTable isolates the edge kernels: a FollowingOnly
+// fit on the bench world (no tweet phase), several sweeps so the per-fit
+// setup (distance table build, candidates, init) amortizes (see
+// cmd/mlpbench for the JSON trail).
+func BenchmarkEdgeKernelTable(b *testing.B) {
 	d, test := ablationSetup(b)
 	c := d.Corpus.WithUsers(d.Corpus.HideLabels(test))
 	const sweeps = 4
@@ -342,7 +329,7 @@ func benchEdgeKernel(b *testing.B, mode core.DistTableMode) {
 		b.Run(kernel.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.Config{Seed: 9, Variant: core.FollowingOnly, Iterations: sweeps,
-					BlockedSampler: kernel.blocked, DistTable: mode}
+					BlockedSampler: kernel.blocked}
 				if _, err := core.Fit(c, cfg); err != nil {
 					b.Fatal(err)
 				}
@@ -351,12 +338,6 @@ func benchEdgeKernel(b *testing.B, mode core.DistTableMode) {
 		})
 	}
 }
-
-// BenchmarkEdgeKernelExact / BenchmarkEdgeKernelTable are the
-// benchmark-regression guard pair for the distance-table work: track
-// their ratio (see cmd/mlpbench for the JSON trail).
-func BenchmarkEdgeKernelExact(b *testing.B) { benchEdgeKernel(b, core.DistTableOff) }
-func BenchmarkEdgeKernelTable(b *testing.B) { benchEdgeKernel(b, core.DistTableOn) }
 
 // BenchmarkTweetKernel isolates the tweet kernel the same way: a
 // TweetingOnly fit has no edge phase, so a sweep is exactly one pass of

@@ -1,5 +1,5 @@
-// Command mlpbench runs the sampler benchmark matrix — edge kernel ×
-// distance mode on the sequential chain, plus the shard axis — on a
+// Command mlpbench runs the sampler benchmark matrix — both edge
+// kernels on the sequential chain, plus the shard axis — on a
 // synthetic world and writes the results as JSON, so the performance
 // trajectory is tracked as a checked-in artifact from PR to PR instead
 // of scrollback.
@@ -60,7 +60,6 @@ import (
 type Result struct {
 	Name         string             `json:"name"`
 	Kernel       string             `json:"kernel"`
-	Dist         string             `json:"dist"`
 	Shards       int                `json:"shards,omitempty"`
 	InitSeconds  float64            `json:"init_seconds"`
 	SweepSeconds float64            `json:"sweep_seconds"`
@@ -156,36 +155,32 @@ func main() {
 		name    string
 		blocked bool
 	}{{"pervar", false}, {"blocked", true}} {
-		for _, dist := range []core.DistTableMode{core.DistTableOff, core.DistTableOn} {
-			cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, BlockedSampler: kernel.blocked, DistTable: dist}
-			initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
-			r := Result{
-				// The "/workers=1" suffix names these cells as the retired
-				// worker axis did, so -compare and -trend still match them
-				// against older reports.
-				Name:         fmt.Sprintf("kernel=%s/dist=%s/workers=1", kernel.name, dist),
-				Kernel:       kernel.name,
-				Dist:         dist.String(),
-				InitSeconds:  initS,
-				SweepSeconds: perSweep,
-				RelsPerSec:   float64(rels) / perSweep,
-				PhaseSeconds: phases,
-			}
-			rep.Results = append(rep.Results, r)
-			logCell(&r)
+		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, BlockedSampler: kernel.blocked}
+		initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
+		r := Result{
+			// The "dist=table" and "/workers=1" parts name these cells as
+			// the retired distance-mode and worker axes did, so -compare
+			// and -trend still match them against older reports.
+			Name:         fmt.Sprintf("kernel=%s/dist=table/workers=1", kernel.name),
+			Kernel:       kernel.name,
+			InitSeconds:  initS,
+			SweepSeconds: perSweep,
+			RelsPerSec:   float64(rels) / perSweep,
+			PhaseSeconds: phases,
 		}
+		rep.Results = append(rep.Results, r)
+		logCell(&r)
 	}
 
-	// Shard axis: the sharded pipeline with the distance table on, across
-	// shard counts. Shards=1 is by construction the sequential chain
-	// already measured above, so the axis starts at 2.
+	// Shard axis: the sharded pipeline across shard counts. Shards=1 is
+	// by construction the sequential chain already measured above, so
+	// the axis starts at 2.
 	for _, shards := range []int{2, 4} {
-		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: shards, DistTable: core.DistTableOn}
+		cfg := core.Config{Seed: *seed, NoiseBurnIn: 1, Shards: shards}
 		initS, perSweep, phases := measureCell(c, cfg, *sweeps, *count)
 		r := Result{
 			Name:         fmt.Sprintf("kernel=pervar/dist=table/shards=%d", shards),
 			Kernel:       "pervar",
-			Dist:         core.DistTableOn.String(),
 			Shards:       shards,
 			InitSeconds:  initS,
 			SweepSeconds: perSweep,

@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"mlprofile/internal/core"
 	"mlprofile/internal/experiments"
 )
 
@@ -33,7 +32,6 @@ func main() {
 		iters     = flag.Int("iterations", 15, "Gibbs iterations per fit")
 		shards    = flag.Int("shards", 1, "user shards per fit, the one parallel Gibbs sweep (1 = the exact sequential sampler; N > 1 = a parallel chain, deterministic per seed and N)")
 		noEM      = flag.Bool("no-em", false, "disable Gibbs-EM refinement")
-		dtable    = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
 	)
 	flag.Parse()
 
@@ -46,7 +44,6 @@ func main() {
 		Iterations:     *iters,
 		Shards:         *shards,
 		DisableGibbsEM: *noEM,
-		DistTable:      core.DistTableFor(*dtable),
 	})
 	if err != nil {
 		log.Fatal(err)

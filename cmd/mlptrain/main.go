@@ -34,7 +34,6 @@ func main() {
 		variant = flag.String("variant", "mlp", "model variant: mlp, mlp_u, mlp_c")
 		topK    = flag.Int("top", 3, "profile locations per user to emit")
 		em      = flag.Bool("em", true, "refine (alpha, beta) with Gibbs-EM")
-		dtable  = flag.Bool("disttable", true, "serve d^alpha from the quantized distance table (false = exact per-pair evaluation)")
 		snap    = flag.String("snapshot", "", "also write a fitted-model snapshot here for mlpserve (a directory when -shards > 1)")
 		shards  = flag.Int("shards", 1, "user shards, the one parallel Gibbs sweep (1 = the exact sequential sampler, the same chain on every machine; N > 1 = a parallel chain, deterministic per seed and N)")
 		stream  = flag.Bool("stream", false, "load the dataset through the chunked streaming reader (bounded peak memory)")
@@ -73,7 +72,6 @@ func main() {
 		Variant:    v,
 		Shards:     *shards,
 		GibbsEM:    *em,
-		DistTable:  core.DistTableFor(*dtable),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +82,7 @@ func main() {
 		v, m.Iterations(), alpha, beta, en, tn)
 	switch active, u, dense := m.DistTableStatus(); {
 	case !active:
-		fmt.Println("distance table: off, exact d^alpha per pair")
+		fmt.Println("distance table: none, MLP_C models no following relationships")
 	case dense:
 		fmt.Printf("distance table: U=%d of L=%d cities, dense\n", u, d.Corpus.Gaz.Len())
 	default:

@@ -22,43 +22,6 @@ import (
 	"math"
 )
 
-// DistTableMode selects how the sampler evaluates the relationship
-// factor d(x,y)^α (see DESIGN.md §7).
-type DistTableMode int
-
-const (
-	// DistTableAuto defers to the default, which is DistTableOn.
-	DistTableAuto DistTableMode = iota
-	// DistTableOn serves d^α from the quantized log-distance table and
-	// the per-edge static caches: the fast path, draw-for-draw aligned
-	// with the exact sampler and equivalent to it within quantization
-	// tolerance (the equivalence test layer locks this).
-	DistTableOn
-	// DistTableOff computes every d^α exactly (haversine + log + exp per
-	// candidate pair): the paper's literal sampler, kept as the reference
-	// the fast path is tested against.
-	DistTableOff
-)
-
-// DistTableFor maps a boolean toggle (as CLI flags expose it) onto the
-// mode knob.
-func DistTableFor(on bool) DistTableMode {
-	if on {
-		return DistTableOn
-	}
-	return DistTableOff
-}
-
-// String names the mode for logs and bench labels.
-func (d DistTableMode) String() string {
-	switch d {
-	case DistTableOff:
-		return "exact"
-	default:
-		return "table"
-	}
-}
-
 // Variant selects which observation types the model consumes.
 type Variant int
 
@@ -83,8 +46,13 @@ func (v Variant) String() string {
 	}
 }
 
-// Config holds the model hyperparameters Ω and sampler controls. The zero
-// value plus withDefaults reproduces the paper's setup.
+// Config holds the model hyperparameters Ω and sampler controls. A zero
+// field takes the default its comment names, so the zero value runs MLP
+// over both relationship types: 20 sweeps of the exact sequential
+// per-variable sampler, the noise mixture on after 3 burn-in sweeps, and
+// (α, β) fitted once from labeled pairs before the first sweep
+// (Sec. 4.1) and then held. The paper also refits (α, β) by Gibbs-EM
+// while it samples (Sec. 4.5); GibbsEM turns that on.
 type Config struct {
 	Seed int64
 	// Variant selects MLP / MLP_U / MLP_C.
@@ -159,20 +127,11 @@ type Config struct {
 
 	// BlockedSampler replaces the paper's per-variable updates with a
 	// blocked joint draw of (µ, x, y) per edge — an ablation of the
-	// inference scheme, not of the model. With the distance table on the
-	// blocked kernel runs its pruned factored form (O(nI+nJ+nI·kJ) per
-	// edge instead of O(nI·nJ) pow calls), which is what makes it usable
-	// at the default MaxCandidates.
+	// inference scheme, not of the model. The kernel runs in a pruned
+	// factored form (O(nI+nJ+nI·kJ) per edge instead of the joint's
+	// O(nI·nJ) pair weights), which is what makes it usable at the
+	// default MaxCandidates.
 	BlockedSampler bool
-
-	// DistTable is the sampler's only path selector. It turns on the
-	// distance-amortization fast path (default DistTableOn): d^α served
-	// from a quantized log-distance table that is memoized per α-epoch,
-	// plus per-edge static weight caches for the blocked kernel.
-	// DistTableOff is the exact reference path. The two paths consume
-	// randomness identically and agree on predictions within
-	// quantization tolerance (equivalence_test.go).
-	DistTable DistTableMode
 
 	// DisableNoiseMixture forces every relationship location-based
 	// (ρ_f = ρ_t = 0) — the ablation of the paper's first mixture level.
@@ -226,9 +185,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EMPairSample == 0 {
 		c.EMPairSample = 200000
-	}
-	if c.DistTable == DistTableAuto {
-		c.DistTable = DistTableOn
 	}
 	if c.DisableNoiseMixture {
 		c.RhoF, c.RhoT = 0, 0

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"mlprofile/internal/dataset"
+	"mlprofile/internal/gazetteer"
 	"mlprofile/internal/synth"
 )
 
@@ -226,6 +231,111 @@ func TestFitRejectsEmptyVariantData(t *testing.T) {
 	c.Tweets = nil
 	if _, err := Fit(&c, Config{Variant: TweetingOnly, Iterations: 1}); err == nil {
 		t.Error("MLP_C on a tweetless corpus should fail")
+	}
+}
+
+// TestFitDegenerateCorpora fits corpora at the edges of what the model
+// meets, under both edge kernels: no labeled user, a one-city gazetteer
+// (a distance universe of U = 1), an unlabeled user with no
+// relationships, a single edge, every tweet at one venue (also under
+// MLP_C, which builds no distance table), and the two variants left
+// with no observations. Each fit returns errNoObservations or a model
+// whose Profile, TopK and MAPExplainEdge readouts are finite and valid
+// and which a snapshot round trip reproduces bit for bit.
+func TestFitDegenerateCorpora(t *testing.T) {
+	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 80, NumLocations: 40, MeanFriends: 4, MeanTweets: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := &d.Corpus
+	derive := func(edit func(c *dataset.Corpus)) *dataset.Corpus {
+		c := *world
+		edit(&c)
+		return &c
+	}
+	all := make([]dataset.UserID, len(world.Users))
+	for u := range all {
+		all[u] = dataset.UserID(u)
+	}
+	oneVenue := derive(func(c *dataset.Corpus) {
+		c.Tweets = slices.Clone(c.Tweets)
+		for k := range c.Tweets {
+			c.Tweets[k].Venue = c.Tweets[0].Venue
+		}
+	})
+	g := milesApartGazetteer(t, nil)
+	oneCity := &dataset.Corpus{
+		Gaz:    g,
+		Venues: gazetteer.BuildVenueVocab(g),
+		Users: []dataset.User{
+			{ID: 0, Home: 0}, {ID: 1, Home: 0}, {ID: 2, Home: dataset.NoCity}, {ID: 3, Home: dataset.NoCity},
+		},
+		Edges:  []dataset.FollowEdge{{From: 0, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}, {From: 1, To: 0}},
+		Tweets: []dataset.TweetRel{{User: 0}, {User: 2}, {User: 3}, {User: 3}},
+	}
+	for _, c := range []struct {
+		name    string
+		corpus  *dataset.Corpus
+		variant Variant
+		wantErr error
+	}{
+		{"no-labeled-user", world.WithUsers(world.HideLabels(all)), Full, nil},
+		{"one-city", oneCity, Full, nil},
+		{"isolated-unlabeled-user", withSilentUsers(world, dataset.NoCity), Full, nil},
+		{"single-edge", derive(func(c *dataset.Corpus) { c.Edges, c.Tweets = c.Edges[:1], nil }), Full, nil},
+		{"one-venue", oneVenue, Full, nil},
+		{"one-venue/mlp_c", oneVenue, TweetingOnly, nil},
+		{"no-edges/mlp_u", derive(func(c *dataset.Corpus) { c.Edges = nil }), FollowingOnly, errNoObservations},
+		{"no-tweets/mlp_c", derive(func(c *dataset.Corpus) { c.Tweets = nil }), TweetingOnly, errNoObservations},
+	} {
+		for _, blocked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/blocked=%v", c.name, blocked), func(t *testing.T) {
+				cfg := Config{Seed: 3, Iterations: 4, NoiseBurnIn: 1, Variant: c.variant, BlockedSampler: blocked, GibbsEM: true, EMInterval: 2}
+				m, err := Fit(c.corpus, cfg)
+				if c.wantErr != nil || err != nil {
+					if !errors.Is(err, c.wantErr) {
+						t.Fatalf("error %v, want %v", err, c.wantErr)
+					}
+					return
+				}
+				if active, u, _ := m.DistTableStatus(); active != (c.variant != TweetingOnly) || c.name == "one-city" && u != 1 {
+					t.Errorf("distance table active=%v over U=%d for %v", active, u, c.variant)
+				}
+				L := gazetteer.CityID(c.corpus.Gaz.Len())
+				for u := range c.corpus.Users {
+					for _, w := range m.Profile(dataset.UserID(u)) {
+						if w.City < 0 || w.City >= L || !(w.Weight >= 0 && w.Weight <= 1) {
+							t.Fatalf("user %d profile entry %+v", u, w)
+						}
+					}
+					for _, l := range m.TopK(dataset.UserID(u), 3) {
+						if l < 0 || l >= L {
+							t.Fatalf("user %d TopK city %d of %d", u, l, L)
+						}
+					}
+				}
+				for s := range c.corpus.Edges {
+					exp, ok := m.MAPExplainEdge(s)
+					if ok != (c.variant != TweetingOnly) || ok && (exp.X < 0 || exp.X >= L || exp.Y < 0 || exp.Y >= L) {
+						t.Fatalf("edge %d MAP explanation %+v (ok=%v)", s, exp, ok)
+					}
+				}
+				var buf bytes.Buffer
+				if err := m.EncodeSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := DecodeSnapshot(c.corpus, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireReadEquality(t, m, loaded, c.corpus)
+				for u := range c.corpus.Users {
+					if a, b := m.TopK(dataset.UserID(u), 3), loaded.TopK(dataset.UserID(u), 3); !slices.Equal(a, b) {
+						t.Fatalf("user %d TopK %v, loaded %v", u, a, b)
+					}
+				}
+			})
+		}
 	}
 }
 

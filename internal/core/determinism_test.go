@@ -41,10 +41,8 @@ func fitFingerprint(m *Model) uint64 {
 // goldenCfg is the fixed configuration the sequential-determinism golden
 // was captured under (pre-parallelization sequential sampler, after the
 // labeledPairHistogram and initState fixes). It exercises the noise
-// mixture, Gibbs-EM, and both observation types. DistTable is pinned off:
-// this golden locks the paper's exact arithmetic, which the distance-table
-// refactor is required to leave bit-for-bit intact. No parallelism field
-// is set: the default chain is the sequential one.
+// mixture, Gibbs-EM, and both observation types. No parallelism field is
+// set: the default chain is the sequential one.
 func goldenCfg() Config {
 	return Config{
 		Seed:         7,
@@ -52,7 +50,6 @@ func goldenCfg() Config {
 		GibbsEM:      true,
 		EMInterval:   3,
 		EMPairSample: 20000,
-		DistTable:    DistTableOff,
 	}
 }
 
@@ -92,23 +89,16 @@ func TestWorkers1MatchesSequentialGolden(t *testing.T) {
 	}
 }
 
-// goldenMatrix pins the sequential chain under both DistTable modes to
-// the frozen golden fingerprint, so any refactor that changes RNG
-// consumption or table arithmetic in either mode is caught immediately.
-// Cell names keep the "workers=1/" prefix of the retired Workers axis,
-// so the surviving cells keep their IDs.
+// goldenMatrix pins the sequential chain to the frozen golden
+// fingerprint, so any refactor that changes RNG consumption or
+// arithmetic is caught immediately. Cell names keep the "workers=1/"
+// and "/table" parts of the retired Workers and distance-mode axes, so
+// the surviving cell keeps its ID.
 var goldenMatrix = []struct {
 	name        string
-	dist        DistTableMode
 	fingerprint uint64
 }{
-	// The table entry equals its exact counterpart: on the golden world
-	// not a single draw flips under quantization, so the coupled chains
-	// remain bit-identical end to end. A diverging table fingerprint with
-	// an intact exact fingerprint means the fast path decoupled (RNG
-	// consumption or inversion order drifted).
-	{"workers=1/exact", DistTableOff, goldenFingerprint},
-	{"workers=1/table", DistTableOn, goldenFingerprint},
+	{"workers=1/table", goldenFingerprint},
 }
 
 // goldenChainName suffixes every golden cell name with the venue-count
@@ -128,7 +118,6 @@ func TestGoldenFingerprintMatrix(t *testing.T) {
 	for _, g := range goldenMatrix {
 		t.Run(g.name+goldenChainName, func(t *testing.T) {
 			cfg := goldenCfg()
-			cfg.DistTable = g.dist
 			cfg.OnIteration = func(_ int, m *Model) { checkInvariants(t, m) }
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
@@ -143,23 +132,18 @@ func TestGoldenFingerprintMatrix(t *testing.T) {
 	}
 }
 
-// TestGoldenMatrixBlocked pins the blocked kernel the same way: the
-// exact blocked kernel and the pruned factored table kernel each have a
-// frozen fingerprint, covering the factored kernel's decomposed sums and
-// hierarchical inversion.
+// TestGoldenMatrixBlocked pins the blocked kernel the same way, covering
+// its factored kernel's decomposed sums and hierarchical inversion. The
+// pin was first captured from the flat O(nI·nJ) joint the factored form
+// replaced.
 var goldenBlocked = []struct {
 	name        string
-	dist        DistTableMode
 	fingerprint uint64
 }{
-	{"blocked/exact", DistTableOff, 0x437267856b78509f},
-	{"blocked/table", DistTableOn, 0x437267856b78509f},
+	{"blocked/table", 0x437267856b78509f},
 }
 
 func TestGoldenMatrixBlocked(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exact blocked kernel is O(nI\u00b7nJ) pow calls per edge; run without -short")
-	}
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +152,6 @@ func TestGoldenMatrixBlocked(t *testing.T) {
 		t.Run(g.name+goldenChainName, func(t *testing.T) {
 			cfg := goldenCfg()
 			cfg.BlockedSampler = true
-			cfg.DistTable = g.dist
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
 				t.Fatal(err)

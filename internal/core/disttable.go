@@ -9,66 +9,39 @@ import (
 	"mlprofile/internal/gazetteer"
 )
 
-// This file implements the distance-amortization subsystem behind
-// Config.DistTable (see DESIGN.md §7). The relationship factor d(x,y)^α
-// is the sampler's dominant cost: the exact path pays a haversine, a log
-// and an exp per candidate pair per edge per sweep. The sampler only
-// ever pairs cities drawn from users' candidacy vectors (Sec. 4.3), so
-// while Fit runs the distTable holds two dense matrices over that
-// candidate universe, indexed by compact universe ids:
+// This file implements the sampler's distance layer (see DESIGN.md §7).
+// The relationship factor d(x,y)^α is the sampler's dominant cost:
+// evaluated per pair it takes a haversine, a log and an exp per
+// candidate pair per edge per sweep. The sampler only ever pairs cities
+// drawn from users' candidacy vectors (Sec. 4.3), so while Fit runs the
+// distTable holds two dense matrices over that candidate universe,
+// indexed by compact universe ids:
 //
-//   qlog — the α-independent quantized log-distance
-//   quantLog(logMiles(a, b)), built once per fit;
+//   lm — the α-independent clamped log-distance logMiles(a, b), built
+//   once per fit;
 //
-//   pm — exp(α·qlog) for the current α-epoch, rebuilt whenever
-//   Gibbs-EM moves α.
+//   pm — exp(α·lm) for the current α-epoch, rebuilt whenever Gibbs-EM
+//   moves α.
 //
 // Row-walking kernels hold the fixed endpoint's pm row and index it by
 // the candidates' compact ids. Fit releases both matrices when it
 // returns, and snapshot-loaded models never build them: every later
-// reader uses the single lookup pow, exp(α·quantLog(logMiles(a, b))),
-// which is the matrix entry bit for bit. Universes above
-// maxDenseUniverse get no matrices; their kernels call pow per pair.
-//
-// Everything the table serves is draw-for-draw aligned with the exact
-// path: the kernels consume the RNG in the same order with the same
-// number of draws, so a DistTable fit shadows the exact fit and can only
-// diverge where quantization flips an inversion draw — the property the
-// equivalence test layer (equivalence_test.go) locks down. That coupling
-// is also why logBinWidth is far finer than the amortization needs: a
-// single flipped draw perturbs two users' counts, the next Gibbs-EM
-// refit amplifies the perturbed assignments into a shifted α, and the
-// chains drift apart wholesale (measured: one flipped edge out of ~1600
-// cost two points of top-1 agreement). The matrices store quantized
-// values, not bin ids, so the fine width costs nothing.
+// reader uses the single lookup pow, powDist(a, b, α), which computes
+// the same exp(α·logMiles(a, b)) and so equals the matrix entry bit for
+// bit. Universes above maxDenseUniverse get no matrices; their kernels
+// call pow per pair. Each city pair therefore has one d^α value
+// wherever it is read, and whether a fit reads the matrices or single
+// lookups never changes its chain.
 
-const (
-	// logBinWidth is the width of one log-distance bin in nats. The bin
-	// representative is the bin center k·logBinWidth, so the worst-case
-	// relative error of a memoized d^α is |α|·logBinWidth/2 — ~3·10⁻¹⁰ at
-	// the paper's α=−0.55. The blocked kernel accumulates per-pair
-	// quantization error across ~nI·nJ inversion boundaries per draw
-	// (measured: ~0.3 flipped draws per fit at a 10⁻⁷ width), so the
-	// width is set two orders finer, pushing the expected flips per fit
-	// to ~10⁻³ and letting the DistTable chain shadow the exact chain end
-	// to end.
-	//
-	// Bin 0 is pinned to the paper's 1-mile measurement floor: every pair
-	// with logMiles < logBinWidth/2 — in particular every sub-mile pair,
-	// whose clamped log-distance is exactly 0 — lands in bin 0 with
-	// representative log 0, so the table reproduces d^α = 1 exactly where
-	// the exact path clamps (locked by TestDistTableSubMileClamp).
-	logBinWidth = 1e-9
-
-	// maxDenseUniverse caps the candidate universe the matrices are
-	// built for: at the cap the two U×U float64 matrices take 256 MiB
-	// while Fit runs. Larger universes serve single lookups.
-	maxDenseUniverse = 4096
-)
+// maxDenseUniverse caps the candidate universe the matrices are built
+// for: at the cap the two U×U float64 matrices take 256 MiB while Fit
+// runs. Larger universes serve single lookups.
+const maxDenseUniverse = 4096
 
 // DistTableStatus reports the distance-amortization state of a model:
-// whether the quantized table is active at all, the size of its
-// candidate universe (the distinct cities of all candidacy vectors), and
+// whether it has a distance table at all (every variant but MLP_C, which
+// models no following relationships), the size of its candidate
+// universe (the distinct cities of all candidacy vectors), and
 // whether the fit's kernels read the dense universe matrices or single
 // lookups. A fitted model keeps reporting its fit's state after Fit
 // releases the matrices; a snapshot-loaded model, which never builds
@@ -80,7 +53,7 @@ func (m *Model) DistTableStatus() (active bool, universe int, dense bool) {
 	return true, m.dt.U, m.dt.dense
 }
 
-// distTable memoizes the power-law factor over quantized log-distances.
+// distTable memoizes the power-law factor over the candidate universe.
 // It is built once per fit; pm is rebuilt in place on every α-epoch.
 // All methods except setAlpha and release are read-only and safe for
 // concurrent use by the sweep's shards (setAlpha only runs between
@@ -99,11 +72,11 @@ type distTable struct {
 	dense bool
 
 	// uid[l] is city l's compact universe id, −1 outside the universe.
-	// qlog[a*U+b] is quantLog(logMiles) of the cities with compact ids
-	// a and b, and pm[a*U+b] = exp(alpha·qlog[a*U+b]) for the current
-	// α-epoch. All three are nil without the matrices.
-	uid      []int32
-	qlog, pm []float64
+	// lm[a*U+b] is logMiles of the cities with compact ids a and b, and
+	// pm[a*U+b] = exp(alpha·lm[a*U+b]) for the current α-epoch. All
+	// three are nil without the matrices.
+	uid    []int32
+	lm, pm []float64
 }
 
 // newDistTable assigns compact ids to the candidate universe of cand
@@ -117,10 +90,10 @@ func newDistTable(dc *distCalc, L int, cand [][]gazetteer.CityID, maxU int) *dis
 		return t
 	}
 	t.uid = uid
-	t.qlog, t.pm = make([]float64, U*U), make([]float64, U*U)
-	fillSymmetric(t.qlog, U, func(a int, upper []float64) {
+	t.lm, t.pm = make([]float64, U*U), make([]float64, U*U)
+	fillSymmetric(t.lm, U, func(a int, upper []float64) {
 		for i := range upper {
-			upper[i] = quantLog(dc.logMiles(cities[a], cities[a+i]))
+			upper[i] = dc.logMiles(cities[a], cities[a+i])
 		}
 	})
 	return t
@@ -194,16 +167,6 @@ func forRows(n int, f func(a int)) {
 	wg.Wait()
 }
 
-// quantLog quantizes a clamped log-distance to the representative of
-// its bin, round(lm/width)·width — the value both the matrices and
-// single lookups feed exp. lm = 0 (any sub-mile pair) maps to bin 0,
-// whose representative is log 0 — the same value the exact path's clamp
-// produces. Bins reach ~9.4e9 at the fine width, so they are int64 on
-// every platform.
-func quantLog(lm float64) float64 {
-	return float64(int64(lm/logBinWidth+0.5)) * logBinWidth
-}
-
 // setAlpha starts a new α-epoch: pm, while the matrices are live, is
 // recomputed for the new exponent, and the epoch counter advances,
 // invalidating every per-edge cache lazily. Must not run concurrently
@@ -213,7 +176,7 @@ func (t *distTable) setAlpha(alpha float64) {
 	if t.pm != nil {
 		U := t.U
 		fillSymmetric(t.pm, U, func(a int, upper []float64) {
-			for i, lm := range t.qlog[a*U+a : (a+1)*U] {
+			for i, lm := range t.lm[a*U+a : (a+1)*U] {
 				upper[i] = math.Exp(alpha * lm)
 			}
 		})
@@ -224,24 +187,23 @@ func (t *distTable) setAlpha(alpha float64) {
 // release drops the matrices once the sweeps are done. The table keeps
 // serving single lookups and reporting its status.
 func (t *distTable) release() {
-	t.uid, t.qlog, t.pm = nil, nil, nil
+	t.uid, t.lm, t.pm = nil, nil, nil
 }
 
-// pow returns the memoized d(a,b)^α for the current α-epoch: a matrix
-// load while both cities have compact ids, the quantized evaluation
-// otherwise.
+// pow returns d(a,b)^α for the current α-epoch: a matrix load while
+// both cities have compact ids, powDist otherwise — the same value.
 func (t *distTable) pow(a, b gazetteer.CityID) float64 {
 	if t.pm != nil {
 		if ua, ub := t.uid[a], t.uid[b]; ua >= 0 && ub >= 0 {
 			return t.pm[int(ua)*t.U+int(ub)]
 		}
 	}
-	return math.Exp(t.alpha * quantLog(t.dc.logMiles(a, b)))
+	return t.dc.powDist(a, b, t.alpha)
 }
 
 // row returns candidate city a's pow row, indexed by compact id (uid),
 // or nil without the matrices. Kernels hold the fixed endpoint's row so
-// the per-candidate lookup is a single in-row load (qlog is symmetric,
+// the per-candidate lookup is a single in-row load (pm is symmetric,
 // so row-major access works for either side of the pair).
 func (t *distTable) row(a gazetteer.CityID) []float64 {
 	if t.pm == nil {
@@ -251,17 +213,8 @@ func (t *distTable) row(a gazetteer.CityID) []float64 {
 	return t.pm[u*t.U : u*t.U+t.U]
 }
 
-// pow returns d(a,b)^α as the sampler sees it: memoized and quantized
-// when the distance table is on, exact otherwise.
-func (m *Model) pow(a, b gazetteer.CityID) float64 {
-	if m.dt != nil {
-		return m.dt.pow(a, b)
-	}
-	return m.dc.powDist(a, b, m.alpha)
-}
-
-// edgeCache is the per-edge static piece of the pruned blocked kernel's
-// factored pair weights (see updateEdgeBlockedTable). For edge (I, J)
+// edgeCache is the per-edge static piece of the blocked kernel's
+// factored pair weights (see updateEdgeBlocked). For edge (I, J)
 // with candidate sets candI/candJ it holds, per α-epoch,
 //
 //	gRow[i] = Σ_j γ_J[j] · d(candI[i], candJ[j])^α
@@ -269,7 +222,7 @@ func (m *Model) pow(a, b gazetteer.CityID) float64 {
 // — the prior-side row sums of the pair-weight matrix. The dynamic part
 // of a row sum touches only candidates with non-zero profile counts, so
 // the per-sweep setup is O(nI + nJ + nI·kJ) with kJ = |supp ϕ_J| instead
-// of the exact kernel's O(nI·nJ) pow calls.
+// of the joint's O(nI·nJ) pair weights.
 type edgeCache struct {
 	epoch uint32
 	gRow  []float64

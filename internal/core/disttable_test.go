@@ -44,10 +44,10 @@ func allCities(L int) [][]gazetteer.CityID {
 	return [][]gazetteer.CityID{all}
 }
 
-// TestDistTableSubMileClamp locks the satellite fix: the exact path's
-// 1-mile clamp (d < 1 → log 0 → d^α = 1) and the table's bin 0 must
-// agree exactly for sub-mile pairs, with boundary values straddling one
-// mile staying within quantization tolerance.
+// TestDistTableSubMileClamp locks the paper's 1-mile measurement floor:
+// sub-mile pairs clamp to d^α = 1 (d < 1 → log 0) in powDist and in the
+// universe matrix alike, and pairs just past one mile leave the clamp
+// with the matrix still equal to powDist bit for bit.
 func TestDistTableSubMileClamp(t *testing.T) {
 	dists := []float64{0.3, 0.999, 1.0, 1.001, 2.5}
 	g := milesApartGazetteer(t, dists)
@@ -61,24 +61,14 @@ func TestDistTableSubMileClamp(t *testing.T) {
 		b := gazetteer.CityID(i + 1)
 		exact := dc.powDist(anchor, b, alpha)
 		table := dt.pow(anchor, b)
-		t.Logf("d=%.3f mi: exact=%.12f table=%.12f", d, exact, table)
-		if d <= 1.0 {
-			// The clamp region: both paths must produce exactly 1. (At
-			// d=1.0 the haversine reproduces the distance to ~1 ulp; the
-			// clamped log collapses either side of it to 0.)
-			if exact != 1.0 {
-				t.Errorf("d=%.3f: exact path %v, want exactly 1 (clamp)", d, exact)
-			}
-			if table != 1.0 {
-				t.Errorf("d=%.3f: table bin-0 %v, want exactly 1 (clamp agreement)", d, table)
-			}
-		} else {
-			if table >= 1.0 {
-				t.Errorf("d=%.3f: table %v did not leave the clamp region", d, table)
-			}
-			if rel := math.Abs(table-exact) / exact; rel > 1e-6 {
-				t.Errorf("d=%.3f: table %v vs exact %v, rel err %.3g above quantization tolerance", d, table, exact, rel)
-			}
+		t.Logf("d=%.3f mi: powDist=%.12f table=%.12f", d, exact, table)
+		if table != exact {
+			t.Errorf("d=%.3f: table %v differs from powDist %v", d, table, exact)
+		}
+		// At d=1.0 the haversine reproduces the distance to ~1 ulp; the
+		// clamped log collapses either side of it to 0.
+		if inClamp := d <= 1.0; inClamp != (exact == 1.0) {
+			t.Errorf("d=%.3f: powDist %v, want exactly 1 iff d <= 1 mile (clamp)", d, exact)
 		}
 	}
 
@@ -87,13 +77,15 @@ func TestDistTableSubMileClamp(t *testing.T) {
 		t.Error("universe matrix not symmetric")
 	}
 	if dt.pow(anchor, anchor) != 1.0 {
-		t.Error("d=0 diagonal must sit in the clamp bin")
+		t.Error("d=0 diagonal must sit in the clamp")
 	}
 }
 
 // TestDistTableMatchesExactWithinTolerance sweeps every city pair of a
-// generated gazetteer and bounds the table's relative error by the
-// design bound |α|·logBinWidth/2 (plus fp slack).
+// generated gazetteer at two α-epochs: every universe matrix entry, and
+// every single lookup of a table with matrices and of one without, must
+// equal powDist — exp(α·logMiles) — bit for bit. Each city pair has one
+// d^α value however the sampler or a readout reaches it.
 func TestDistTableMatchesExactWithinTolerance(t *testing.T) {
 	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 50, NumLocations: 180})
 	if err != nil {
@@ -101,23 +93,25 @@ func TestDistTableMatchesExactWithinTolerance(t *testing.T) {
 	}
 	dc := newDistCalc(d.Corpus.Gaz)
 	L := d.Corpus.Gaz.Len()
-	dt := newDistTable(dc, L, allCities(L), maxDenseUniverse)
-	const alpha = -0.55
-	dt.setAlpha(alpha)
-	bound := math.Abs(alpha)*logBinWidth/2 + 1e-12
-	worst := 0.0
-	for a := 0; a < L; a++ {
-		for b := 0; b < L; b++ {
-			exact := dc.powDist(gazetteer.CityID(a), gazetteer.CityID(b), alpha)
-			table := dt.pow(gazetteer.CityID(a), gazetteer.CityID(b))
-			if rel := math.Abs(table-exact) / exact; rel > worst {
-				worst = rel
+	dense := newDistTable(dc, L, allCities(L), maxDenseUniverse)
+	fallback := newDistTable(dc, L, allCities(L), 0)
+	if dense.pm == nil || dense.U != L || fallback.pm != nil {
+		t.Fatalf("dense matrices %v over U=%d of L=%d, fallback matrices %v: want matrices over every city only under the budget",
+			dense.pm != nil, dense.U, L, fallback.pm != nil)
+	}
+	for _, alpha := range []float64{-0.55, -1.3} {
+		dense.setAlpha(alpha)
+		fallback.setAlpha(alpha)
+		for a := gazetteer.CityID(0); int(a) < L; a++ {
+			for b := gazetteer.CityID(0); int(b) < L; b++ {
+				want := dc.powDist(a, b, alpha)
+				entry := dense.pm[int(dense.uid[a])*L+int(dense.uid[b])]
+				if entry != want || dense.pow(a, b) != want || fallback.pow(a, b) != want {
+					t.Fatalf("alpha=%v (%d,%d): matrix %v, pow %v, single lookup %v, want powDist %v",
+						alpha, a, b, entry, dense.pow(a, b), fallback.pow(a, b), want)
+				}
 			}
 		}
-	}
-	t.Logf("worst relative error %.3g (bound %.3g)", worst, bound)
-	if worst > bound {
-		t.Errorf("worst relative error %.3g exceeds quantization bound %.3g", worst, bound)
 	}
 }
 
@@ -125,7 +119,7 @@ func TestDistTableMatchesExactWithinTolerance(t *testing.T) {
 // the universe matrices: built over a generated world's candidate sets,
 // every matrix entry equals the single lookups pow(a, b) and pow(b, a)
 // of a table over the same universe without matrices (budget 0) — same
-// quantized log, same exp — at two α-epochs. The µ-step's matrix load
+// log-distance, same exp — at two α-epochs. The µ-step's matrix load
 // and the post-fit single lookups therefore cannot diverge however they
 // mix. Compact ids follow first-seen order over the candidate sets,
 // cities outside the universe fall through to single lookups, and the
@@ -141,9 +135,9 @@ func TestDistTableFallbackAgreesWithDense(t *testing.T) {
 	dc := newDistCalc(c.Gaz)
 	dense := newDistTable(dc, L, cand, maxDenseUniverse)
 	fallback := newDistTable(dc, L, cand, 0)
-	if !dense.dense || dense.qlog == nil || fallback.dense || fallback.qlog != nil {
-		t.Fatalf("dense=%v (qlog %v), fallback=%v (qlog %v): want matrices only under the budget",
-			dense.dense, dense.qlog != nil, fallback.dense, fallback.qlog != nil)
+	if !dense.dense || dense.lm == nil || fallback.dense || fallback.lm != nil {
+		t.Fatalf("dense=%v (lm %v), fallback=%v (lm %v): want matrices only under the budget",
+			dense.dense, dense.lm != nil, fallback.dense, fallback.lm != nil)
 	}
 	if dense.U != fallback.U || dense.U >= L {
 		t.Fatalf("universe %d / %d of L=%d: want one universe smaller than the gazetteer", dense.U, fallback.U, L)
@@ -204,8 +198,8 @@ func TestDistTableFallbackAgreesWithDense(t *testing.T) {
 // TestUniverseBudgetFallbackGoldens runs the golden world with the
 // universe budget forced to 0, so every kernel takes its single-lookup
 // branch: the per-variable kernel (edgeCum) and the blocked kernel
-// (edgeCacheFor, updateEdgeBlockedTable). Each fit must reproduce the
-// dense fit's pinned fingerprint.
+// (edgeCacheFor, updateEdgeBlocked). Each fit must reproduce the dense
+// fit's pinned fingerprint.
 func TestUniverseBudgetFallbackGoldens(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
@@ -217,11 +211,10 @@ func TestUniverseBudgetFallbackGoldens(t *testing.T) {
 		fingerprint uint64
 	}{
 		{"per-variable", func(*Config) {}, goldenFingerprint},
-		{"blocked", func(c *Config) { c.BlockedSampler = true }, goldenBlocked[1].fingerprint},
+		{"blocked", func(c *Config) { c.BlockedSampler = true }, goldenBlocked[0].fingerprint},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			cfg := goldenCfg()
-			cfg.DistTable = DistTableOn
 			g.edit(&cfg)
 			if cfg.BlockedSampler && testing.Short() {
 				t.Skip("single-lookup blocked kernel pays nI·nJ pow calls per edge per α-epoch; run without -short")
@@ -257,7 +250,7 @@ func TestUniverseMatricesLiveOnlyDuringFit(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := Config{Seed: 1, Iterations: 2, Shards: shards}
 			cfg.OnIteration = func(_ int, m *Model) {
-				if m.dt.pm == nil || m.dt.qlog == nil || m.dt.uid == nil {
+				if m.dt.pm == nil || m.dt.lm == nil || m.dt.uid == nil {
 					t.Fatal("sweeps ran without the universe matrices")
 				}
 			}
@@ -265,7 +258,7 @@ func TestUniverseMatricesLiveOnlyDuringFit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.dt.pm != nil || m.dt.qlog != nil || m.dt.uid != nil {
+			if m.dt.pm != nil || m.dt.lm != nil || m.dt.uid != nil {
 				t.Error("Fit left universe matrices behind")
 			}
 			active, u, dense := m.DistTableStatus()
@@ -285,7 +278,7 @@ func TestUniverseMatricesLiveOnlyDuringFit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loaded.dt.pm != nil || loaded.dt.qlog != nil || loaded.dt.uid != nil {
+			if loaded.dt.pm != nil || loaded.dt.lm != nil || loaded.dt.uid != nil {
 				t.Error("LoadSnapshot built universe matrices")
 			}
 			if la, lu, ld := loaded.DistTableStatus(); !la || lu != u || ld {
@@ -310,7 +303,7 @@ func TestFinalEMRefitSkipsMatrixFill(t *testing.T) {
 	var lastAlpha float64
 	cfg := Config{Seed: 1, Iterations: iters, GibbsEM: true, EMInterval: 3}
 	cfg.OnIteration = func(it int, m *Model) {
-		live := m.dt.pm != nil && m.dt.qlog != nil && m.dt.uid != nil
+		live := m.dt.pm != nil && m.dt.lm != nil && m.dt.uid != nil
 		if want := it < iters; live != want {
 			t.Errorf("sweep %d: universe matrices live=%v, want %v", it, live, want)
 		}
@@ -371,9 +364,9 @@ func TestDistTableAlphaEpochInvalidation(t *testing.T) {
 			t.Errorf("static row sum unchanged (%v) across an α-epoch that doubled α", gRow0)
 		}
 
-		// The memoized pow must match a fresh exp at the new α.
+		// The memoized pow must match powDist at the new α.
 		a, b := candI[0], candJ[0]
-		want := math.Exp(m.dt.alpha * quantLog(m.dc.logMiles(a, b)))
+		want := m.dc.powDist(a, b, m.dt.alpha)
 		if got := m.dt.pow(a, b); got != want {
 			t.Errorf("pow after refit %v, want %v", got, want)
 		}

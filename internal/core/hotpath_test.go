@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
 	"testing"
 
-	"mlprofile/internal/dataset"
 	"mlprofile/internal/synth"
 )
 
@@ -13,7 +11,8 @@ import (
 // gazetteers far larger than their candidate universe. Each is pinned to
 // the fingerprint the fit had when the batch cache and the large-
 // gazetteer distance layer still had bit-identical reference paths
-// (per-draw gathers, per-lookup quantization) to be checked against.
+// (per-draw gathers, per-lookup distance evaluation) to be checked
+// against.
 
 // longRunWorld has few authors with very long tweet runs: the world
 // that drives the tweet batch cache's repair edge.
@@ -89,7 +88,7 @@ func wideWorld(seed int64, users int) synth.Config {
 // gazetteer wider than its candidate universe (L = 2,200, the regime
 // once served by lazily built sparse pow rows): the universe matrix's
 // pow row of every universe city serves exactly the values the same
-// table's single lookups compute without matrices — same quantized log,
+// table's single lookups compute without matrices — same log-distance,
 // same exp — across α-epochs. Row-walking kernels and single lookups
 // therefore cannot diverge however they mix.
 func TestSparseBinsPowRowMatchesFallback(t *testing.T) {
@@ -128,7 +127,7 @@ func TestSparseBinsPowRowMatchesFallback(t *testing.T) {
 // sharded sweep, where four shards read the shared universe matrices
 // concurrently (the race leg runs it for that). The pin was captured
 // from the same Shards=4 fit before the Workers sweep was retired; the
-// universe matrices serve exp(α·quantLog) for every pair, exactly what
+// universe matrices serve exp(α·logMiles) for every pair, exactly what
 // single lookups compute. Also locks the reported status: dense matrices
 // over a universe smaller than the gazetteer.
 func TestWideGazFingerprintEquivalence(t *testing.T) {
@@ -149,46 +148,5 @@ func TestWideGazFingerprintEquivalence(t *testing.T) {
 	t.Logf("fingerprint: %#x", got)
 	if got != want {
 		t.Errorf("wide-gazetteer fingerprint %#x differs from pinned %#x", got, want)
-	}
-}
-
-// TestWideGazDistEquivalence is the large-gazetteer leg of the
-// distance-table equivalence claim: at L = 2,200, a dist=table fit must
-// still shadow the exact fit to ≥99% top-1 and refit α within
-// quantization tolerance.
-func TestWideGazDistEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence property tests run full fits; skipped in -short")
-	}
-	d, err := synth.Generate(wideWorld(106, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	folds := dataset.KFold(len(d.Corpus.Users), 5, 99)
-	c := d.Corpus.WithUsers(d.Corpus.HideLabels(folds[0]))
-
-	cfg := Config{Seed: 7, Iterations: 8, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
-	cfg.DistTable = DistTableOff
-	exact, err := Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DistTable = DistTableOn
-	table, err := Fit(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if active, _, _ := table.DistTableStatus(); !active {
-		t.Fatal("DistTableStatus reports the table inactive on a dist=table fit")
-	}
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("L=%d top-1 agreement %.4f; alpha exact %.4f table %.4f", d.Corpus.Gaz.Len(), agree, aE, aT)
-	if agree < equivAgreementMin {
-		t.Errorf("top-1 agreement %.4f < %.2f — table chain decoupled from exact chain", agree, equivAgreementMin)
-	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("alpha diverged: exact %.4f vs table %.4f (tol %.2f)", aE, aT, equivAlphaTol)
 	}
 }

@@ -20,10 +20,10 @@ type Model struct {
 	dc     *distCalc
 	rng    *rand.Rand
 
-	// Distance-amortization subsystem (nil when Config.DistTable is off):
-	// the quantized distance table, whose universe matrices live only
-	// while Fit runs, and the per-edge static weight caches of the
-	// pruned blocked kernel (see disttable.go).
+	// Distance layer (nil for MLP_C, which models no following
+	// relationships): the distance table, whose universe matrices live
+	// only while Fit runs, and the per-edge static weight caches of the
+	// blocked kernel (see disttable.go).
 	dt   *distTable
 	etab []edgeCache
 
@@ -58,9 +58,9 @@ type Model struct {
 	// initState's assignments and then shifted ±1 in lockstep with every
 	// ϕ mutation. A ±1 shift of a float can round at a power-of-two
 	// crossing, so pg may drift from the fresh sum by an ulp-scale random
-	// walk — far inside the equivalence tolerance. The exact µ/ν factors
-	// (theta) keep using fresh ϕ+γ. Nil on snapshot-loaded models, which
-	// never sweep.
+	// walk, which the golden fingerprints pin as part of the chain. The
+	// µ/ν factors (theta) keep using fresh ϕ+γ. Nil on snapshot-loaded
+	// models, which never sweep.
 	pg [][]float64
 
 	// Collapsed venue counts φ_{l,v}, accumulating location-based tweets
@@ -76,8 +76,8 @@ type Model struct {
 	// mutation: the tweet fills multiply by it instead of dividing per
 	// candidate — one division per ±1 shift in place of ≤MaxCandidates
 	// divisions per draw. The product (cnt+δ)·rsum differs from the
-	// quotient by ≤2 ulp, the same structure as the distance table's
-	// quantization. Nil on snapshot-loaded models.
+	// quotient by ≤2 ulp, which the golden fingerprints pin as part of
+	// the chain. Nil on snapshot-loaded models.
 	venueRSum []float64
 
 	// Edge latent state: selector µ_s and candidate indexes of x_s, y_s.
@@ -106,6 +106,11 @@ type Model struct {
 	splan  *shardPlan
 	shCtxs []*sweepCtx
 }
+
+// errNoObservations refuses a fit whose corpus holds none of the
+// relationships its variant consumes: no edges for MLP_U, no tweets for
+// MLP_C, neither for MLP.
+var errNoObservations = errors.New("core: corpus has no observations for the chosen variant")
 
 // Fit runs MLP inference over the corpus and returns the fitted model.
 func Fit(c *dataset.Corpus, cfg Config) (*Model, error) {
@@ -140,7 +145,7 @@ func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 	m.seq = &sweepCtx{m: m, rng: m.rng}
 	hasObs := (m.useF && len(c.Edges) > 0) || (m.useT && len(c.Tweets) > 0)
 	if !hasObs {
-		return nil, errors.New("core: corpus has no observations for the chosen variant")
+		return nil, errNoObservations
 	}
 
 	// Zero Alpha/Beta means "learn the location-based following model from
@@ -160,7 +165,7 @@ func fit(c *dataset.Corpus, cfg Config, maxU int) (*Model, error) {
 	// The distance table is built over the candidate universe, after the
 	// initial (α, β) fit so its first α-epoch memoizes the exponent the
 	// sweeps will actually use. Neither step draws from the RNG.
-	if m.useF && cfg.DistTable != DistTableOff {
+	if m.useF {
 		m.phase("init/disttable", func() {
 			m.dt = newDistTable(m.dc, c.Gaz.Len(), m.cands.cand, maxU)
 			m.dt.setAlpha(m.alpha)

@@ -128,7 +128,7 @@ func (m *Model) MAPExplainEdge(s int) (EdgeExplanation, bool) {
 			if p < bestW {
 				break
 			}
-			w := p * m.pow(candI[a.i], candJ[b.i])
+			w := p * m.dt.pow(candI[a.i], candJ[b.i])
 			if w > bestW || w == bestW && (a.i < bestX || a.i == bestX && b.i < bestY) {
 				bestX, bestY, bestW = a.i, b.i, w
 			}

@@ -158,7 +158,7 @@ func mapExplainOracle(m *Model, s int) EdgeExplanation {
 		}
 		for j := range candJ {
 			tj := m.theta(e.To, j, false)
-			w := ti * tj * m.pow(candI[i], candJ[j])
+			w := ti * tj * m.dt.pow(candI[i], candJ[j])
 			if w > bestW {
 				bestX, bestY, bestW = i, j, w
 			}
@@ -171,17 +171,15 @@ func mapExplainOracle(m *Model, s int) EdgeExplanation {
 
 // TestMAPExplainMatchesExhaustiveScan compares the pruned MAP walk with
 // the exhaustive oracle on every edge of the golden worlds — the
-// determinism world with the table on and off, the long-run tweet world
-// and the 2,200-city world — for the fitted model and for its
-// snapshot-loaded twin.
+// determinism world, the long-run tweet world and the 2,200-city world —
+// for the fitted model and for its snapshot-loaded twin.
 func TestMAPExplainMatchesExhaustiveScan(t *testing.T) {
 	for _, g := range []struct {
 		name  string
 		world synth.Config
 		cfg   Config
 	}{
-		{"golden/table", *goldenWorld(t), func() Config { c := goldenCfg(); c.DistTable = DistTableOn; return c }()},
-		{"golden/exact", *goldenWorld(t), goldenCfg()},
+		{"golden/table", *goldenWorld(t), goldenCfg()},
 		{"long-run", longRunWorld, Config{Seed: 7, Iterations: 6, GibbsEM: true, EMInterval: 3, EMPairSample: 20000}},
 		{"wide", wideWorld(105, 150), Config{Seed: 7, Iterations: 4, Shards: 4, GibbsEM: true, EMInterval: 2, EMPairSample: 20000}},
 	} {
@@ -222,8 +220,7 @@ func TestMAPExplainMatchesExhaustiveScan(t *testing.T) {
 // (1,000 miles apart) with θ̂_I = (¼, ¾) and θ̂_J = (¾, ¼), so (A, A) and
 // (B, B) both weigh 3/16 at d = 1. The θ̂-ordered walk meets (B, B)
 // first, but the exhaustive scan's first maximum is (A, A) — row-major
-// index (0, 0) — and the pruned walk must return it, with single lookups
-// and on the exact path alike.
+// index (0, 0) — and the pruned walk must return it.
 func TestMAPExplainTieKeepsRowMajorFirst(t *testing.T) {
 	g := milesApartGazetteer(t, []float64{1000})
 	c := &dataset.Corpus{
@@ -249,19 +246,14 @@ func TestMAPExplainTieKeepsRowMajorFirst(t *testing.T) {
 		phi:    [][]float64{{0, 0}, {0, 0}},
 		phiSum: []float64{0, 0},
 	}
-	for _, table := range []bool{false, true} {
-		m.dt = nil
-		if table {
-			m.dt = newDistTable(m.dc, g.Len(), m.cands.cand, 0)
-			m.dt.setAlpha(alpha)
-		}
-		if w00, w11 := m.theta(0, 0, false)*m.theta(1, 0, false)*m.pow(0, 0), m.theta(0, 1, false)*m.theta(1, 1, false)*m.pow(1, 1); w00 != w11 {
-			t.Fatalf("table=%v: constructed weights %v and %v do not tie", table, w00, w11)
-		}
-		got, ok := m.MAPExplainEdge(0)
-		want := mapExplainOracle(m, 0)
-		if !ok || got != want || got.X != 0 || got.Y != 0 {
-			t.Errorf("table=%v: MAP %+v (ok=%v), want the row-major first maximum %+v = (A, A)", table, got, ok, want)
-		}
+	m.dt = newDistTable(m.dc, g.Len(), m.cands.cand, 0)
+	m.dt.setAlpha(alpha)
+	if w00, w11 := m.theta(0, 0, false)*m.theta(1, 0, false)*m.dt.pow(0, 0), m.theta(0, 1, false)*m.theta(1, 1, false)*m.dt.pow(1, 1); w00 != w11 {
+		t.Fatalf("constructed weights %v and %v do not tie", w00, w11)
+	}
+	got, ok := m.MAPExplainEdge(0)
+	want := mapExplainOracle(m, 0)
+	if !ok || got != want || got.X != 0 || got.Y != 0 {
+		t.Errorf("MAP %+v (ok=%v), want the row-major first maximum %+v = (A, A)", got, ok, want)
 	}
 }

@@ -111,7 +111,7 @@ func (m *Model) updateEdge(ctx *sweepCtx, s int) {
 	thetaY := m.theta(e.To, yi, counted)
 	p1 := m.cfg.RhoF * m.fr
 	p0 := (1 - m.cfg.RhoF) * thetaX * thetaY * m.beta *
-		m.pow(candI[xi], candJ[yi])
+		m.dt.pow(candI[xi], candJ[yi])
 	noisy := randutil.Bernoulli(ctx.rng, p1/(p0+p1))
 	if noisy == m.mu[s] {
 		return
@@ -149,14 +149,11 @@ func (m *Model) drawEdgeSide(ctx *sweepCtx, cand []gazetteer.CityID, pg []float6
 // edgeCum fills one side's per-variable conditional as running prefix
 // sums: the profile factor ϕ+γ (read from the maintained mirror), times
 // the distance factor to the fixed opposite endpoint when the edge
-// counts. The loop variants compute the same expression; they differ
-// only in where d^α comes from — the opposite city's universe pow row
-// (one in-row load per candidate), a single lookup per pair above the
-// universe budget, or the exact path. The candidate order and the single
-// downstream inversion are identical in all of them, which is what keeps
-// a DistTable chain coupled to the exact chain. The weights are
-// non-negative, so adding them unconditionally matches Categorical's
-// positives-only sum (x+0 is x).
+// counts. The two distance loops differ only in where d^α comes from —
+// the opposite city's universe pow row (one in-row load per candidate)
+// or a single lookup per pair above the universe budget — and both read
+// the same value. The weights are non-negative, so adding them
+// unconditionally matches Categorical's positives-only sum (x+0 is x).
 func (m *Model) edgeCum(cum []float64, cand []gazetteer.CityID, pg []float64, opp gazetteer.CityID, counted bool) {
 	// Pin the parallel slices to the candidate length so the loops run
 	// bounds-check-free (pg/cum are allocated per candidate set).
@@ -170,113 +167,23 @@ func (m *Model) edgeCum(cum []float64, cand []gazetteer.CityID, pg []float64, op
 		}
 		return
 	}
-	if dt := m.dt; dt != nil {
-		if row := dt.row(opp); row != nil {
-			uid := dt.uid
-			for c, l := range cand {
-				total += pg[c] * row[uid[l]]
-				cum[c] = total
-			}
-		} else {
-			for c, l := range cand {
-				total += pg[c] * dt.pow(l, opp)
-				cum[c] = total
-			}
+	dt := m.dt
+	if row := dt.row(opp); row != nil {
+		uid := dt.uid
+		for c, l := range cand {
+			total += pg[c] * row[uid[l]]
+			cum[c] = total
 		}
 		return
 	}
-	for c := range cand {
-		total += pg[c] * m.dc.powDist(cand[c], opp, m.alpha)
+	for c, l := range cand {
+		total += pg[c] * dt.pow(l, opp)
 		cum[c] = total
 	}
 }
 
-// updateEdgeBlocked jointly resamples (µ_s, x_s, y_s) from their exact
-// joint conditional — the blocked-sampler ablation. The model is
-// unchanged; only the inference move differs. With the distance table on
-// the pruned factored kernel below takes over.
-func (m *Model) updateEdgeBlocked(ctx *sweepCtx, s int) {
-	if m.dt != nil {
-		m.updateEdgeBlockedTable(ctx, s)
-		return
-	}
-	e := m.corpus.Edges[s]
-	candI := m.cands.cand[e.From]
-	candJ := m.cands.cand[e.To]
-	gammaI := m.cands.gamma[e.From]
-	gammaJ := m.cands.gamma[e.To]
-	phiI := m.phi[e.From]
-	phiJ := m.phi[e.To]
-
-	// Remove the current assignments from the counts when they count.
-	if !m.mu[s] {
-		phiI[m.ex[s]]--
-		phiJ[m.ey[s]]--
-		m.phiSum[e.From]--
-		m.phiSum[e.To]--
-		m.pg[e.From][m.ex[s]]--
-		m.pg[e.To][m.ey[s]]--
-	}
-
-	nI, nJ := len(candI), len(candJ)
-	wx, wy, pair := ctx.arena.bufBlocked(nI, nJ)
-	for c := range candI {
-		wx[c] = phiI[c] + gammaI[c]
-	}
-	for c := range candJ {
-		wy[c] = phiJ[c] + gammaJ[c]
-	}
-	denI := m.phiSum[e.From] + m.cands.gammaSum[e.From]
-	denJ := m.phiSum[e.To] + m.cands.gammaSum[e.To]
-
-	// W1: noise branch weight (the θ̂ marginals integrate out to 1).
-	// W0: location-based branch marginalized over all candidate pairs.
-	// During burn-in the noise branch is held off.
-	w1 := m.cfg.RhoF * m.fr
-	if m.curIter <= m.cfg.NoiseBurnIn {
-		w1 = 0
-	}
-	// pair[] holds the running prefix sums of the joint weights in
-	// row-major order, ready for a single inversion.
-	var pairSum float64
-	for i := 0; i < nI; i++ {
-		for j := 0; j < nJ; j++ {
-			pairSum += wx[i] * wy[j] * m.dc.powDist(candI[i], candJ[j], m.alpha)
-			pair[i*nJ+j] = pairSum
-		}
-	}
-	w0 := (1 - m.cfg.RhoF) * m.beta * pairSum / (denI * denJ)
-
-	if randutil.Bernoulli(ctx.rng, w1/(w0+w1)) {
-		// Noise: keep phantom assignments drawn from the profiles alone;
-		// they do not count.
-		m.mu[s] = true
-		xi, yi := m.drawBlockedNoise(ctx, wx, wy)
-		if xi < 0 {
-			xi = int(m.ex[s])
-		}
-		if yi < 0 {
-			yi = int(m.ey[s])
-		}
-		m.ex[s], m.ey[s] = uint16(xi), uint16(yi)
-		return
-	}
-	m.mu[s] = false
-	p := randutil.InvertCum(ctx.rng, pair)
-	if p < 0 {
-		p = int(m.ex[s])*nJ + int(m.ey[s])
-	}
-	m.ex[s], m.ey[s] = uint16(p/nJ), uint16(p%nJ)
-	phiI[m.ex[s]]++
-	phiJ[m.ey[s]]++
-	m.phiSum[e.From]++
-	m.phiSum[e.To]++
-	m.pg[e.From][m.ex[s]]++
-	m.pg[e.To][m.ey[s]]++
-}
-
 // drawBlockedNoise draws both endpoints' phantom assignments on the
-// blocked kernels' noise branch. The raw wx/wy weights stay live (the
+// blocked kernel's noise branch. The raw wx/wy weights stay live (the
 // joint pass consumed them as factors), so each side runs
 // randutil.FusedCategorical — one prefix pass plus a search, sharing the
 // arena's prefix buffer.
@@ -287,29 +194,27 @@ func (m *Model) drawBlockedNoise(ctx *sweepCtx, wx, wy []float64) (xi, yi int) {
 	return xi, yi
 }
 
-// updateEdgeBlockedTable is the pruned factored form of the blocked
-// kernel, active when the distance table is on. The pair weight
-// factorizes as
+// updateEdgeBlocked jointly resamples (µ_s, x_s, y_s) from their joint
+// conditional — the blocked-sampler ablation. The model is unchanged;
+// only the inference move differs. The pair weight factorizes as
 //
 //	W[i][j] = (ϕ_I[i]+γ_I[i]) · (ϕ_J[j]+γ_J[j]) · D[i][j]
 //
-// with D the quantized d^α matrix, static within an α-epoch. Splitting
-// the friend-side factor into its static prior γ_J and its sparse
-// profile counts ϕ_J gives per-row sums
+// with D the d^α matrix, static within an α-epoch. Splitting the
+// friend-side factor into its static prior γ_J and its sparse profile
+// counts ϕ_J gives per-row sums
 //
 //	S[i] = Σ_j (ϕ_J[j]+γ_J[j])·D[i][j] = gRow[i] + Σ_{j∈supp ϕ_J} ϕ_J[j]·D[i][j]
 //
 // where gRow is the edge's cached static row sum (edgeCache). The sweep
 // therefore pays O(nI + nJ + nI·kJ) per edge — kJ = |supp ϕ_J|, which
-// sampling concentrates onto a handful of candidates — instead of the
-// exact kernel's O(nI·nJ) haversine+pow evaluations.
+// sampling concentrates onto a handful of candidates — instead of
+// O(nI·nJ) pair weights.
 //
-// Sampling stays draw-for-draw aligned with the exact kernel: the same
-// Bernoulli, and a single uniform inverted over the rows' cumulative
-// masses and then within the chosen row — the row-major order of the
-// exact kernel's flat inversion over pair[]. Only the weight values
-// differ, by quantization, so a DistTable chain shadows the exact one.
-func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
+// One Bernoulli picks the branch, and the location-based pair is one
+// uniform inverted in row-major order: over the rows' cumulative masses,
+// then within the chosen row.
+func (m *Model) updateEdgeBlocked(ctx *sweepCtx, s int) {
 	e := m.corpus.Edges[s]
 	candI := m.cands.cand[e.From]
 	candJ := m.cands.cand[e.To]
@@ -329,7 +234,7 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 
 	nI, nJ := len(candI), len(candJ)
 	ec := m.edgeCacheFor(s, candI, candJ, gammaJ)
-	wx, wy, rowMass, supJ := ctx.arena.bufBlockedTable(nI, nJ)
+	wx, wy, rowMass, supJ := ctx.arena.bufBlocked(nI, nJ)
 	for c := range candI {
 		wx[c] = phiI[c] + gammaI[c]
 	}
@@ -369,6 +274,9 @@ func (m *Model) updateEdgeBlockedTable(ctx *sweepCtx, s int) {
 	denI := m.phiSum[e.From] + m.cands.gammaSum[e.From]
 	denJ := m.phiSum[e.To] + m.cands.gammaSum[e.To]
 
+	// W1: noise branch weight (the θ̂ marginals integrate out to 1).
+	// W0: location-based branch marginalized over all candidate pairs.
+	// During burn-in the noise branch is held off.
 	w1 := m.cfg.RhoF * m.fr
 	if m.curIter <= m.cfg.NoiseBurnIn {
 		w1 = 0

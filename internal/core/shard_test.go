@@ -167,7 +167,6 @@ func TestShards1GoldenMatrix(t *testing.T) {
 	for _, g := range goldenMatrix {
 		t.Run(g.name+goldenChainName+"/shards=1", func(t *testing.T) {
 			cfg := goldenCfg()
-			cfg.DistTable = g.dist
 			cfg.Shards = 1
 			m, err := Fit(&d.Corpus, cfg)
 			if err != nil {
@@ -252,40 +251,6 @@ func TestShardedMatchesSequentialQuality(t *testing.T) {
 	enH, tnH := sh.NoiseStats()
 	if math.Abs(enS-enH) > 0.1 || math.Abs(tnS-tnH) > 0.1 {
 		t.Errorf("noise estimates diverged: seq=(%.3f, %.3f) sharded=(%.3f, %.3f)", enS, tnS, enH, tnH)
-	}
-}
-
-// TestShardedEquivalence runs the DistTable equivalence pair under
-// Shards=4: the coupling argument is per shard stream, so the ≥99%
-// top-1 bound must hold exactly as it does for the sequential chain.
-func TestShardedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence property tests run full fits; skipped in -short")
-	}
-	w := equivWorlds()[2]
-	cfg := Config{Seed: 7, Iterations: 12, Shards: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 30000}
-	exact, table, c := fitEquivPair(t, w.cfg, cfg)
-	agree := top1Agreement(exact, table, c)
-	aE, _ := exact.AlphaBeta()
-	aT, _ := table.AlphaBeta()
-	t.Logf("shards=4 dist top-1 agreement %.4f; alpha exact %.4f table %.4f", agree, aE, aT)
-	if agree < equivAgreementMin {
-		t.Errorf("shards=4 top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
-	}
-	if math.Abs(aE-aT) > equivAlphaTol {
-		t.Errorf("shards=4 alpha diverged: exact %.4f vs table %.4f", aE, aT)
-	}
-}
-
-// TestShardedEquivalenceSmoke is the -short leg: one small world,
-// DistTable pair only.
-func TestShardedEquivalenceSmoke(t *testing.T) {
-	cfg := Config{Seed: 7, Iterations: 8, Shards: 4, GibbsEM: true, EMInterval: 4, EMPairSample: 20000}
-	exact, table, c := fitEquivPair(t, synth.Config{Seed: 104, NumUsers: 250, NumLocations: 100}, cfg)
-	agree := top1Agreement(exact, table, c)
-	t.Logf("smoke top-1 agreement %.4f", agree)
-	if agree < equivAgreementMin {
-		t.Errorf("smoke top-1 agreement %.4f < %.2f", agree, equivAgreementMin)
 	}
 }
 

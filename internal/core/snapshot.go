@@ -64,6 +64,32 @@ func checkSnapshotAlpha(alpha float64) error {
 	return nil
 }
 
+// ErrSnapshotProfileCounts refuses a snapshot whose collapsed profile
+// counts ϕ no fit writes: a fit only ever adds and removes whole edge
+// endpoints and tweets, so each count and each row total phiSum is an
+// integer in [0, len(Edges)+len(Tweets)], and a row's counts sum to its
+// phiSum exactly.
+var ErrSnapshotProfileCounts = errors.New("core: snapshot profile counts are not ones a fit writes")
+
+// checkPhiRow vets user u's decoded ϕ row and its recorded total sum
+// against ErrSnapshotProfileCounts. most is len(Edges)+len(Tweets). The
+// comparisons refuse NaN and ±Inf too, and integer-valued floats sum
+// exactly in any order, so a sum that differs from the counts' total
+// in any bit is refused.
+func checkPhiRow(u int32, row []float64, sum, most float64) error {
+	var total float64
+	for i, cnt := range row {
+		if !(cnt >= 0 && cnt <= most) || cnt != math.Trunc(cnt) {
+			return fmt.Errorf("%w (user %d, count %d = %v, want an integer in [0, %v])", ErrSnapshotProfileCounts, u, i, cnt, most)
+		}
+		total += cnt
+	}
+	if sum != total || total > most {
+		return fmt.Errorf("%w (user %d, counts sum to %v, phiSum records %v, at most %v)", ErrSnapshotProfileCounts, u, total, sum, most)
+	}
+	return nil
+}
+
 // snapshotFlagSharded marks a file that carries one shard's slice of
 // the model state rather than a whole model. Such files live inside a
 // snapshot directory (see snapshot_shard.go) and are rejected by the
@@ -253,13 +279,14 @@ func (r *snapReader) f64sInto(dst []float64) int {
 	return n
 }
 
-// retiredConfigSlot fills the three integer config slots whose knobs no
-// longer exist: the venue-count layout and the draw pipeline (both "on"
-// = 1) and the Workers sweep's goroutine count (1, the sequential chain
-// every fit without Shards runs). encodeConfig writes 1 into each and
-// false into the retired StaleBoundary flag, and decodeConfig reads and
-// ignores all four, so the version-2 format stays byte-for-byte
-// unchanged and snapshots written with any value there still load.
+// retiredConfigSlot fills the four integer config slots whose knobs no
+// longer exist: the distance table, the venue-count layout and the draw
+// pipeline (all "on" = 1) and the Workers sweep's goroutine count (1,
+// the sequential chain every fit without Shards runs). encodeConfig
+// writes 1 into each and false into the retired StaleBoundary flag, and
+// decodeConfig reads and ignores all five, so the version-2 format stays
+// byte-for-byte unchanged and snapshots written with any value there
+// still load.
 const retiredConfigSlot = 1
 
 // encodeConfig writes the defaulted Config field by field in fixed order.
@@ -284,7 +311,7 @@ func encodeConfig(w *snapWriter, c Config) {
 	w.i64(int64(c.EMInterval))
 	w.i64(int64(c.EMPairSample))
 	w.bool(c.BlockedSampler)
-	w.i64(int64(c.DistTable))
+	w.i64(retiredConfigSlot) // distance table
 	w.i64(retiredConfigSlot) // venue-count layout
 	w.i64(retiredConfigSlot) // draw pipeline
 	w.bool(c.DisableNoiseMixture)
@@ -314,7 +341,7 @@ func decodeConfig(r *snapReader) Config {
 	c.EMInterval = int(r.i64())
 	c.EMPairSample = int(r.i64())
 	c.BlockedSampler = r.bool()
-	c.DistTable = DistTableMode(r.i64())
+	r.i64() // retired: distance table
 	r.i64() // retired: venue-count layout
 	r.i64() // retired: draw pipeline
 	c.DisableNoiseMixture = r.bool()
@@ -373,7 +400,7 @@ func newSnapshotModel(c *dataset.Corpus, cfg Config, alpha, beta float64, iters 
 	// The distance table serves MAPExplainEdge's d^α exactly as the
 	// fitted model does after Fit: single lookups at the final exponent,
 	// with no universe matrices (budget 0).
-	if m.useF && cfg.DistTable != DistTableOff {
+	if m.useF {
 		m.dt = newDistTable(m.dc, c.Gaz.Len(), m.cands.cand, 0)
 		m.dt.setAlpha(m.alpha)
 	}
@@ -595,7 +622,8 @@ func decodeSnapshot(c *dataset.Corpus, data []byte, prev *Model) (*Model, error)
 		return nil, fmt.Errorf("core: snapshot has %d profile rows for %d users", got, n)
 	}
 	// The rows land in one slab sized by the candidacy, each checked
-	// against its user's candidate count before it is read.
+	// against its user's candidate count before it is read, and against
+	// its recorded sum once the sums are read.
 	m.phi = slabRows(m.cands.cand)
 	for u, row := range m.phi {
 		got := r.f64sInto(row)
@@ -609,6 +637,12 @@ func decodeSnapshot(c *dataset.Corpus, data []byte, prev *Model) (*Model, error)
 	m.phiSum = r.f64s()
 	if r.err == nil && len(m.phiSum) != n {
 		return nil, fmt.Errorf("core: snapshot has %d profile sums for %d users", len(m.phiSum), n)
+	}
+	most := float64(len(c.Edges) + len(c.Tweets))
+	for u, sum := range m.phiSum {
+		if err := checkPhiRow(int32(u), m.phi[u], sum, most); err != nil {
+			return nil, err
+		}
 	}
 
 	if hasEdges := r.bool(); r.err == nil && hasEdges != m.useF {

@@ -88,17 +88,18 @@ func requireReadEquality(t *testing.T, fitted, loaded *Model, c *dataset.Corpus)
 // config section follows the magic, the 16-byte header (version, flags,
 // shard index, shard count) and the world fingerprint. In it, the
 // retired Workers slot follows Seed, Variant and Iterations (8 bytes
-// each). The retired venue-count layout and draw pipeline slots follow
-// the first 14 eight-byte fields (Seed … MaxVenueSenses), GibbsEM
-// (1 byte), EMInterval and EMPairSample (8 each), BlockedSampler (1) and
-// DistTable (8). After them come DisableNoiseMixture,
+// each). The retired distance-table slot follows the first 14 eight-byte
+// fields (Seed … MaxVenueSenses), GibbsEM (1 byte), EMInterval and
+// EMPairSample (8 each) and BlockedSampler (1); the retired venue-count
+// layout and draw pipeline slots follow it. After them come DisableNoiseMixture,
 // DisableSupervision and AllLocationCandidates (1 byte each) and Shards
 // (8), then the retired StaleBoundary flag (1) — the config section's
 // last byte, so the refined α follows it.
 var (
 	configOffset        = len(snapshotMagic) + 16 + int(dataset.NumFingerprintSections)*sha256.Size
 	workersSlotOffset   = configOffset + 3*8
-	retiredSlotsOffset  = configOffset + 14*8 + 1 + 2*8 + 1 + 8
+	distSlotOffset      = configOffset + 14*8 + 1 + 2*8 + 1
+	retiredSlotsOffset  = distSlotOffset + 8
 	staleSlotOffset     = retiredSlotsOffset + 2*8 + 3 + 8
 	snapshotAlphaOffset = staleSlotOffset + 1
 	// Tau follows Seed, Variant, Iterations, the Workers slot, RhoF,
@@ -106,23 +107,24 @@ var (
 	tauSlotOffset = configOffset + 9*8
 )
 
-// retiredSlots holds the four retired config slots: the venue-count
-// layout (psi=venue 1, psi=map 2), the draw pipeline (draw=fused 1,
-// draw=scan 2), the Workers sweep's goroutine count and the
-// StaleBoundary flag. None of those knobs changed what a snapshot
-// describes, so a snapshot carrying any values an older encoder wrote
-// must load and read out exactly like the one written now.
+// retiredSlots holds the five retired config slots: the distance table
+// (table 1, exact 2), the venue-count layout (psi=venue 1, psi=map 2),
+// the draw pipeline (draw=fused 1, draw=scan 2), the Workers sweep's
+// goroutine count and the StaleBoundary flag. None of those knobs
+// changed what a snapshot describes, so a snapshot carrying any values
+// an older encoder wrote must load and read out exactly like the one
+// written now.
 type retiredSlots struct {
-	psi, draw, workers uint64
-	stale              bool
+	dist, psi, draw, workers uint64
+	stale                    bool
 }
 
 // writtenSlots is what encodeConfig writes into the retired slots.
-var writtenSlots = retiredSlots{psi: retiredConfigSlot, draw: retiredConfigSlot, workers: retiredConfigSlot}
+var writtenSlots = retiredSlots{dist: retiredConfigSlot, psi: retiredConfigSlot, draw: retiredConfigSlot, workers: retiredConfigSlot}
 
 // retiredSlotCells are the layout, draw and StaleBoundary values an
 // older encoder could write; TestSnapshotRoundTripMatrix crosses them
-// with the Workers values 1 and 4.
+// with the Workers values 1 and 4 and the distance-table values 1 and 2.
 var retiredSlotCells = []struct {
 	name  string
 	slots retiredSlots
@@ -146,6 +148,7 @@ func withRetiredSlots(t *testing.T, raw []byte, slots retiredSlots) []byte {
 		want uint64
 	}{
 		{workersSlotOffset, slots.workers, writtenSlots.workers},
+		{distSlotOffset, slots.dist, writtenSlots.dist},
 		{retiredSlotsOffset, slots.psi, writtenSlots.psi},
 		{retiredSlotsOffset + 8, slots.draw, writtenSlots.draw},
 	} {
@@ -323,34 +326,153 @@ func TestSnapshotRejectsBadVenueCount(t *testing.T) {
 	}
 }
 
+// firstProfileCountOffset is the byte offset of the first ϕ count of a
+// snapshot's first profile row — user 0's in a whole-model file, the
+// first owned user's in a shard file: α, β and the sweep count, the row
+// count, then the row's length.
+const firstProfileCountOffset = 3*8 + 4 + 4
+
+// withF64s returns a resealed copy of a snapshot file with the float64s
+// at the given byte offsets replaced.
+func withF64s(raw []byte, at map[int]float64) []byte {
+	out := bytes.Clone(raw)
+	for off, v := range at {
+		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+	}
+	return reseal(out)
+}
+
+// TestSnapshotRejectsBadProfileCount: a fit writes ϕ counts and row
+// totals phiSum that are integers in [0, len(Edges)+len(Tweets)], and
+// every row's counts sum to its phiSum exactly. A resealed snapshot
+// that breaks any of that — a NaN first count used to load and put a
+// NaN weight into user 0's profile — is refused with
+// ErrSnapshotProfileCounts by the whole-model decoder, and the
+// first-count cases by the sharded loaders too. Edits that keep a row
+// consistent load.
+func TestSnapshotRejectsBadProfileCount(t *testing.T) {
+	d, err := synth.Generate(synth.Config{Seed: 11, NumUsers: 150, NumLocations: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if len(m.phi[0]) < 2 {
+		t.Fatalf("user 0 has %d candidates, want at least 2", len(m.phi[0]))
+	}
+	count0 := snapshotAlphaOffset + firstProfileCountOffset
+	// phiSum[0] follows every row (a length and the counts each) and the
+	// sums' own length.
+	sum0 := snapshotAlphaOffset + 3*8 + 4
+	for _, row := range m.phi {
+		sum0 += 4 + 8*len(row)
+	}
+	sum0 += 4
+	first, second, total := m.phi[0][0], m.phi[0][1], m.phiSum[0]
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[count0:])); got != first {
+		t.Fatalf("first count at byte %d reads %v, want %v", count0, got, first)
+	}
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[sum0:])); got != total {
+		t.Fatalf("phiSum[0] at byte %d reads %v, want %v", sum0, got, total)
+	}
+	most := float64(len(d.Corpus.Edges) + len(d.Corpus.Tweets))
+	count1 := count0 + 8
+	for _, c := range []struct {
+		name string
+		at   map[int]float64
+		ok   bool
+	}{
+		{"count+1/phiSum+1", map[int]float64{count0: first + 1, sum0: total + 1}, true},
+		{"phiSum=most", map[int]float64{count0: most - total + first, sum0: most}, true},
+		{"count=NaN", map[int]float64{count0: math.NaN()}, false},
+		{"count=+Inf", map[int]float64{count0: math.Inf(1)}, false},
+		{"count=-Inf", map[int]float64{count0: math.Inf(-1)}, false},
+		{"count=-1", map[int]float64{count0: -1}, false},
+		{"count=0.5", map[int]float64{count0: 0.5}, false},
+		{"count=most+1", map[int]float64{count0: most + 1, sum0: total - first + most + 1}, false},
+		{"count+1", map[int]float64{count0: first + 1}, false},
+		{"phiSum>most", map[int]float64{count0: most, count1: most, sum0: total - first - second + 2*most}, false},
+		{"phiSum=NaN", map[int]float64{sum0: math.NaN()}, false},
+		{"phiSum+0.5", map[int]float64{sum0: total + 0.5}, false},
+	} {
+		_, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(withF64s(raw, c.at)))
+		if c.ok && err != nil {
+			t.Errorf("%s: consistent row refused: %v", c.name, err)
+		}
+		if !c.ok && !errors.Is(err, ErrSnapshotProfileCounts) {
+			t.Errorf("%s: error %v, want ErrSnapshotProfileCounts", c.name, err)
+		}
+	}
+
+	sharded, err := Fit(&d.Corpus, Config{Seed: 3, Iterations: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(count float64) float64
+	}{
+		{"NaN", func(float64) float64 { return math.NaN() }},
+		{"+Inf", func(float64) float64 { return math.Inf(1) }},
+		{"-1", func(float64) float64 { return -1 }},
+		{"0.5", func(float64) float64 { return 0.5 }},
+		{"most+1", func(float64) float64 { return most + 1 }},
+		{"count+1", func(count float64) float64 { return count + 1 }},
+	} {
+		dir := filepath.Join(t.TempDir(), "snap")
+		if err := sharded.SaveShardedSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		rewriteSnapshotDir(t, dir, func(data []byte) []byte {
+			count := math.Float64frombits(binary.LittleEndian.Uint64(data[count0:]))
+			return withF64s(data, map[int]float64{count0: c.edit(count)})
+		})
+		if _, err := LoadSnapshotShard(&d.Corpus, dir, 1); !errors.Is(err, ErrSnapshotProfileCounts) {
+			t.Errorf("shard slice with first count %s: error %v, want ErrSnapshotProfileCounts", c.name, err)
+		}
+		if _, err := LoadSnapshot(&d.Corpus, dir); !errors.Is(err, ErrSnapshotProfileCounts) {
+			t.Errorf("sharded directory with first count %s: error %v, want ErrSnapshotProfileCounts", c.name, err)
+		}
+	}
+}
+
 // TestSnapshotRoundTripMatrix wires the snapshot round trip into the
-// determinism matrix: under both DistTable cells of the golden matrix,
-// and for every retired-slot combination an older encoder could have
-// written — the Workers slot at 1 and 4 (the outer cells' "workers=N"),
-// crossed with the layout, draw and StaleBoundary cells — encode →
-// decode must reproduce every readout bit for bit.
+// determinism matrix: for the golden fit and every retired-slot
+// combination an older encoder could have written — the Workers slot at
+// 1 and 4 and the distance-table slot at 1 (table) and 2 (exact), the
+// outer cells' "workers=N/dist", crossed with the layout, draw and
+// StaleBoundary cells — encode → decode must reproduce every readout bit
+// for bit.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	d, err := synth.Generate(*goldenWorld(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range goldenMatrix {
-		cfg := goldenCfg()
-		cfg.DistTable = g.dist
-		m, err := Fit(&d.Corpus, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := m.EncodeSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []uint64{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, g.dist), func(t *testing.T) {
+	m, err := Fit(&d.Corpus, goldenCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []uint64{1, 4} {
+		for _, dist := range []struct {
+			name string
+			slot uint64
+		}{{"table", 1}, {"exact", 2}} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, dist.name), func(t *testing.T) {
 				for _, s := range retiredSlotCells {
 					t.Run(s.name, func(t *testing.T) {
 						slots := s.slots
-						slots.workers = workers
+						slots.workers, slots.dist = workers, dist.slot
 						raw := withRetiredSlots(t, buf.Bytes(), slots)
 						loaded, err := DecodeSnapshot(&d.Corpus, bytes.NewReader(raw))
 						if err != nil {
@@ -586,7 +708,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		slots retiredSlots
 	}{
 		{"sync/psi=venue", writtenSlots},
-		{"stale/psi=map", retiredSlots{psi: 2, draw: 1, workers: 4, stale: true}},
+		{"stale/psi=map", retiredSlots{dist: 2, psi: 2, draw: 1, workers: 4, stale: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir() + "/snap"

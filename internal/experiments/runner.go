@@ -45,9 +45,6 @@ type Options struct {
 	Shards int
 	// DisableGibbsEM turns off the (α, β) refinement (on by default).
 	DisableGibbsEM bool
-	// DistTable selects the sampler's distance fast path (default on;
-	// core.DistTableOff runs the exact reference sampler).
-	DistTable core.DistTableMode
 }
 
 func (o Options) withDefaults() Options {
@@ -227,7 +224,6 @@ func (r *Runner) runFold(f int, test []dataset.UserID) (*foldResult, error) {
 			Variant:    variant,
 			Shards:     r.opts.Shards,
 			GibbsEM:    !r.opts.DisableGibbsEM,
-			DistTable:  r.opts.DistTable,
 		}
 		if name == MethodMLP && f == 0 {
 			// Fig. 5: trace test accuracy across sweeps.
@@ -298,7 +294,6 @@ func (r *Runner) ensureFull() error {
 		Iterations: r.opts.Iterations,
 		Shards:     r.opts.Shards,
 		GibbsEM:    !r.opts.DisableGibbsEM,
-		DistTable:  r.opts.DistTable,
 	})
 	if err != nil {
 		return err

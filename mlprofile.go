@@ -104,19 +104,6 @@ const (
 	MLPTweetingOnly = core.TweetingOnly
 )
 
-// DistTableMode selects how the sampler evaluates the distance power law
-// d^α (ModelConfig.DistTable).
-type DistTableMode = core.DistTableMode
-
-// Distance-table modes: the quantized memoized fast path (the default)
-// vs the exact per-pair evaluation. The two are equivalence-tested
-// against each other (see DESIGN.md §7).
-const (
-	DistTableAuto = core.DistTableAuto
-	DistTableOn   = core.DistTableOn
-	DistTableOff  = core.DistTableOff
-)
-
 // Fit runs MLP inference over a corpus.
 func Fit(c *Corpus, cfg ModelConfig) (*Model, error) { return core.Fit(c, cfg) }
 
