@@ -72,20 +72,22 @@ func checkSnapshotAlpha(alpha float64) error {
 var ErrSnapshotProfileCounts = errors.New("core: snapshot profile counts are not ones a fit writes")
 
 // checkPhiRow vets user u's decoded ϕ row and its recorded total sum
-// against ErrSnapshotProfileCounts. most is len(Edges)+len(Tweets). The
-// comparisons refuse NaN and ±Inf too, and integer-valued floats sum
-// exactly in any order, so a sum that differs from the counts' total
-// in any bit is refused.
-func checkPhiRow(u int32, row []float64, sum, most float64) error {
-	var total float64
+// against ErrSnapshotProfileCounts. most is len(Edges)+len(Tweets).
+func checkPhiRow(u int32, row []float64, sum float64, most uint64) error {
+	var total uint64
 	for i, cnt := range row {
-		if !(cnt >= 0 && cnt <= most) || cnt != math.Trunc(cnt) {
-			return fmt.Errorf("%w (user %d, count %d = %v, want an integer in [0, %v])", ErrSnapshotProfileCounts, u, i, cnt, most)
+		// int64(cnt) truncates, so it converts back to cnt only for an
+		// integer; NaN, ±Inf and out-of-range values never do, or land
+		// outside [0, most] (a negative c reads as a huge uint64).
+		c := int64(cnt)
+		if float64(c) != cnt || uint64(c) > most {
+			return fmt.Errorf("%w (user %d, count %d = %v, want an integer in [0, %d])", ErrSnapshotProfileCounts, u, i, cnt, most)
 		}
-		total += cnt
+		total += uint64(c)
 	}
-	if sum != total || total > most {
-		return fmt.Errorf("%w (user %d, counts sum to %v, phiSum records %v, at most %v)", ErrSnapshotProfileCounts, u, total, sum, most)
+	// The total is exact, so a sum that differs in any bit is refused.
+	if total > most || sum != float64(total) {
+		return fmt.Errorf("%w (user %d, counts sum to %d, phiSum records %v, at most %d)", ErrSnapshotProfileCounts, u, total, sum, most)
 	}
 	return nil
 }
@@ -638,7 +640,7 @@ func decodeSnapshot(c *dataset.Corpus, data []byte, prev *Model) (*Model, error)
 	if r.err == nil && len(m.phiSum) != n {
 		return nil, fmt.Errorf("core: snapshot has %d profile sums for %d users", len(m.phiSum), n)
 	}
-	most := float64(len(c.Edges) + len(c.Tweets))
+	most := uint64(len(c.Edges) + len(c.Tweets))
 	for u, sum := range m.phiSum {
 		if err := checkPhiRow(int32(u), m.phi[u], sum, most); err != nil {
 			return nil, err

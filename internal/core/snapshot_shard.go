@@ -445,7 +445,7 @@ func (m *Model) decodeShardPayload(r *snapReader, name string, users, edges, twe
 	if r.err != nil {
 		return r.err
 	}
-	most := float64(len(c.Edges) + len(c.Tweets))
+	most := uint64(len(c.Edges) + len(c.Tweets))
 	for i, u := range users {
 		if err := checkPhiRow(u, m.phi[u], sums[i], most); err != nil {
 			return err

@@ -395,6 +395,7 @@ func TestSnapshotRejectsBadProfileCount(t *testing.T) {
 		{"count=+Inf", map[int]float64{count0: math.Inf(1)}, false},
 		{"count=-Inf", map[int]float64{count0: math.Inf(-1)}, false},
 		{"count=-1", map[int]float64{count0: -1}, false},
+		{"count=-1/sum-kept", map[int]float64{count0: -1, count1: first + second + 1}, false},
 		{"count=0.5", map[int]float64{count0: 0.5}, false},
 		{"count=most+1", map[int]float64{count0: most + 1, sum0: total - first + most + 1}, false},
 		{"count+1", map[int]float64{count0: first + 1}, false},
